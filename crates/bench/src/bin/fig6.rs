@@ -6,12 +6,13 @@
 //! scored by Spearman correlation against the true noise ordering. Paper
 //! shape: ComFedSV tracks the ground truth closely and beats FedSV.
 //!
-//! Substitution note (see EXPERIMENTS.md): the paper corrupts by adding
-//! Gaussian noise to real image pixels. On our simulated Gaussian-mixture
-//! data, additive feature noise barely degrades the learner (the label
-//! stays attached to a mostly-informative feature vector), so the graded
-//! quality axis is realized by label corruption on `5·i%` of the examples
-//! — the same "known quality ordering → valuation ranking" pipeline.
+//! Substitution note (see "Departures from the paper" in the README): the
+//! paper corrupts by adding Gaussian noise to real image pixels. On our
+//! simulated Gaussian-mixture data, additive feature noise barely
+//! degrades the learner (the label stays attached to a
+//! mostly-informative feature vector), so the graded quality axis is
+//! realized by label corruption on `5·i%` of the examples — the same
+//! "known quality ordering → valuation ranking" pipeline.
 
 use comfedsv::experiments::{DatasetKind, ExperimentBuilder};
 use fedval_bench::{profile, write_csv};

@@ -92,7 +92,7 @@ fn main() {
     println!("(paper: ratio approaches the participation rate {participation} as N grows;");
     println!(" our oracle caches and deduplicates utility evaluations, which makes");
     println!(" ComFedSV cheaper than the paper's O(TNK logN) accounting, so the measured");
-    println!(" ratio starts near K/N and drifts upward with N at fixed T — see EXPERIMENTS.md)");
+    println!(" ratio starts near K/N and drifts upward with N at fixed T — see the README)");
     match write_csv(
         "fig8",
         &[

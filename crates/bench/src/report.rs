@@ -1,8 +1,8 @@
 //! Output helpers: aligned text tables and CSV files.
 //!
 //! Each figure binary prints its series to stdout (for eyeballing the
-//! shape against the paper) and writes a CSV under `target/figures/` so
-//! EXPERIMENTS.md can reference stable artifacts.
+//! shape against the paper) and writes a CSV under `target/figures/`, a
+//! stable path for plotting and comparing runs.
 
 use std::fs;
 use std::io::Write;

@@ -17,7 +17,8 @@
 //!   persists whatever remains, and [`CellCache::attach`] pre-loads a
 //!   trace's persisted cells once per process.
 //!
-//! The oracle in `fedval_fl` keys into this cache with a
+//! Every oracle in `fedval_fl` keeps its cells in a [`CellCache`]: a
+//! private unbounded one by default, or a shared one keyed by a
 //! [`Fingerprint`] that covers everything a cell's value depends on
 //! (trace parameters, test set, model, base losses), so a shared cache
 //! can serve many tenants' oracles concurrently while staying

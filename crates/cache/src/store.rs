@@ -12,10 +12,11 @@
 //! its slot), a later lookup reserves a *fresh* slot and recomputes the
 //! same bits.
 //!
-//! The slot type is the oracle's own `Arc<RwLock<Option<f64>>>`: the
-//! first evaluator to take the write lock computes, everyone else reads
-//! — the compute-once discipline is unchanged, the store only decides
-//! *which* slot a key currently maps to.
+//! The store is the oracle's only cell store: a fresh oracle keeps its
+//! cells in a private, unbounded store, and attaching a shared cache
+//! swaps in a bounded one. Each cell is a [`CellSlot`]: the first
+//! evaluator to take the write lock computes, everyone else reads. The
+//! store only decides *which* slot a key currently maps to.
 //!
 //! # Eviction
 //!
@@ -43,8 +44,8 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-/// A write-once utility-cell slot, shared with `fedval_fl`'s oracle:
-/// `None` until the first evaluator computes under the write lock.
+/// A write-once utility-cell slot: `None` until the first evaluator
+/// computes under the write lock.
 pub type CellSlot = Arc<RwLock<Option<f64>>>;
 
 /// Identity of one utility cell across processes and sessions.

@@ -40,8 +40,8 @@
 //!    `fedval_models::workspace::CHUNK_ROWS` examples), so even a huge
 //!    single evaluation stops promptly; a cell abandoned mid-evaluation
 //!    is left unset — not stored, not counted — and a retry resumes it.
-//! 3. **Read.** [`UtilityOracle::utility`] stays the single-cell API it
-//!    always was — now a thin shim over the result table. A cache miss
+//! 3. **Read.** [`UtilityOracle::utility`] is the single-cell API, a
+//!    thin shim over the cell store. A cache miss
 //!    (a cell outside any evaluated plan) falls back to a serial
 //!    evaluation on the shared scratch model, so incremental callers keep
 //!    working unchanged.
@@ -56,31 +56,30 @@
 //! The oracle also counts test-loss evaluations
 //! ([`UtilityOracle::loss_evaluations`]) — the paper's cost unit.
 //!
-//! # The shared cache tier
+//! # The cell store
 //!
-//! By default each oracle owns a private, unbounded result table — the
-//! historical behavior, bit-for-bit. Attaching a process-shared
-//! [`fedval_cache::CellCache`] ([`UtilityOracle::with_shared_cache`])
-//! moves the slots into a bounded store keyed by `(trace fingerprint,
-//! tier, round, subset)`: concurrent oracles over the same trace share
-//! completed cells, memory pressure evicts (and optionally spills to
-//! disk) cold cells, and a disk-backed cache warm-starts repeat
-//! valuations across processes. Because cells are pure functions of the
-//! fingerprinted inputs, eviction and sharing can change *when* a cell
-//! is computed — never its bits; the only relaxation is that an evicted
-//! cell may be recomputed if asked for again. Hits are tallied in
+//! Every oracle keeps its cells in a [`fedval_cache::CellCache`]. A
+//! fresh oracle owns a private, unbounded one, so each cell is evaluated
+//! exactly once. [`UtilityOracle::with_shared_cache`] swaps in a shared,
+//! bounded one keyed by `(trace fingerprint, tier, round, subset)`:
+//! oracles over the same trace share completed cells, memory pressure
+//! evicts (and optionally spills to disk) cold cells, and a disk-backed
+//! cache warm-starts repeat valuations across processes. Cells are pure
+//! functions of the fingerprinted inputs, so eviction and sharing can
+//! change *when* a cell is computed — never its bits; an evicted cell
+//! may be recomputed if asked for again. Hits are tallied in
 //! [`UtilityOracle::cell_hits`], never in the loss-evaluation counter.
 
 use crate::subset::Subset;
 use crate::trainer::TrainingTrace;
-use fedval_cache::{CellCache, CellKey, Fingerprint, FingerprintHasher};
+use fedval_cache::{CellCache, CellKey, CellSlot, Fingerprint, FingerprintHasher};
 use fedval_data::Dataset;
 use fedval_models::{DeterminismTier, Model, Workspace};
 use fedval_runtime::{CancelToken, Cancelled, PoolHandle};
-use parking_lot::{Mutex, RwLock};
-use std::collections::{HashMap, HashSet};
+use parking_lot::Mutex;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// An ordered, deduplicated batch of `(round, subset)` utility cells to
 /// evaluate. Empty subsets are skipped on insertion (`U_t(∅) = 0` by
@@ -146,14 +145,6 @@ impl EvalPlan {
     }
 }
 
-/// One utility cell: `None` until evaluated. Initialization happens
-/// under the cell's write lock, so racing evaluators serialize and each
-/// cell is computed exactly once; reads after initialization take an
-/// uncontended read lock. A cancelled evaluation simply drops the write
-/// guard with the slot still `None`, so a retry recomputes it — no
-/// poisoned state, no unwinding.
-type Cell = Arc<RwLock<Option<f64>>>;
-
 /// Per-worker evaluation state: a scratch model, its reusable minibatch
 /// [`Workspace`] (the batched loss kernels run allocation-free through
 /// it), and the FedAvg aggregate buffer. One per batch worker, one
@@ -177,13 +168,13 @@ impl CellScratch {
 /// Fills `slot` exactly once with `compute`'s value, running `compute`
 /// under the cell's write lock (racing evaluators block, then observe
 /// the stored value — never recompute). Returns `Some(value)` when this
-/// call did the computing (callers notify the shared cache on that
-/// edge), `None` when the slot was already filled. When `compute`
-/// reports [`Cancelled`] — the workspace token fired *inside* the
-/// model's minibatch loops — the slot is left `None`: the cell is not
-/// stored, not counted, and a retry recomputes it.
+/// call did the computing (callers notify the cache on that edge),
+/// `None` when the slot was already filled. When `compute` reports
+/// [`Cancelled`] — the workspace token fired *inside* the model's
+/// minibatch loops — the guard drops with the slot still `None`: the
+/// cell is not stored, not counted, and a retry recomputes it.
 fn init_cell(
-    slot: &Cell,
+    slot: &CellSlot,
     compute: impl FnOnce() -> Result<f64, Cancelled>,
 ) -> Result<Option<f64>, Cancelled> {
     let mut guard = slot.write();
@@ -193,14 +184,6 @@ fn init_cell(
         return Ok(Some(v));
     }
     Ok(None)
-}
-
-/// An attachment to the process's shared cell-cache tier: the cache
-/// handle plus this oracle's trace fingerprint (the cache-key prefix
-/// every cell of this oracle shares).
-struct SharedCells {
-    cache: Arc<CellCache>,
-    trace: Fingerprint,
 }
 
 /// Evaluates `U_t(S)` against a recorded [`TrainingTrace`].
@@ -213,13 +196,14 @@ pub struct UtilityOracle<'a> {
     scratch: Mutex<CellScratch>,
     /// `ℓ(w_t; D_c)` per round, computed once.
     base_losses: Vec<f64>,
-    /// The result table: one compute-once slot per evaluated cell.
-    /// Unused (kept empty) when [`Self::shared`] routes slots to the
-    /// process-shared cache instead.
-    table: RwLock<HashMap<(usize, Subset), Cell>>,
-    /// Attachment to the shared cell-cache tier; `None` keeps the
-    /// historical private-table behavior bit-for-bit.
-    shared: Option<SharedCells>,
+    /// The cell store: one compute-once slot per evaluated cell.
+    cache: Arc<CellCache>,
+    /// Trace prefix of this oracle's cell keys: the fingerprint once a
+    /// shared cache is attached. A private cache holds one trace only,
+    /// so until then a constant stands in and the trace is not hashed.
+    key_trace: Fingerprint,
+    /// [`Self::fingerprint`], computed on first use.
+    fingerprint: OnceLock<Fingerprint>,
     calls: AtomicU64,
     /// Cells served without a loss evaluation (see
     /// [`Self::cell_hits`]).
@@ -243,32 +227,18 @@ impl<'a> UtilityOracle<'a> {
     /// the round).
     pub fn new(trace: &'a TrainingTrace, prototype: &dyn Model, test_data: &'a Dataset) -> Self {
         let tier = DeterminismTier::default_tier();
-        let mut scratch = CellScratch::new(prototype.clone_model(), tier);
-        let mut calls = 0u64;
-        let base_losses: Vec<f64> = trace
+        let mut oracle = Self::from_parts(trace, test_data, prototype, Vec::new(), tier);
+        let scratch = oracle.scratch.get_mut();
+        oracle.base_losses = trace
             .rounds
             .iter()
             .map(|r| {
                 scratch.model.set_params(&r.global_params);
-                calls += 1;
                 scratch.model.loss_with(test_data, &mut scratch.ws)
             })
             .collect();
-        UtilityOracle {
-            trace,
-            test_data,
-            prototype: prototype.clone_model(),
-            scratch: Mutex::new(scratch),
-            base_losses,
-            table: RwLock::new(HashMap::new()),
-            shared: None,
-            calls: AtomicU64::new(calls),
-            hits: AtomicU64::new(0),
-            disk_warm: 0,
-            pool: PoolHandle::Global,
-            parallelism: None,
-            tier,
-        }
+        *oracle.calls.get_mut() = trace.num_rounds() as u64;
+        oracle
     }
 
     /// [`Self::new`] with the per-round base losses supplied instead of
@@ -292,14 +262,28 @@ impl<'a> UtilityOracle<'a> {
             "one base loss per round"
         );
         let tier = DeterminismTier::default_tier();
+        Self::from_parts(trace, test_data, prototype, base_losses, tier)
+    }
+
+    /// The one constructor: an oracle on the global pool whose cells live
+    /// in a fresh private cache. Its budget is unbounded, so it never
+    /// evicts and every cell is evaluated exactly once.
+    fn from_parts(
+        trace: &'a TrainingTrace,
+        test_data: &'a Dataset,
+        prototype: &dyn Model,
+        base_losses: Vec<f64>,
+        tier: DeterminismTier,
+    ) -> Self {
         UtilityOracle {
             trace,
             test_data,
             prototype: prototype.clone_model(),
             scratch: Mutex::new(CellScratch::new(prototype.clone_model(), tier)),
             base_losses,
-            table: RwLock::new(HashMap::new()),
-            shared: None,
+            cache: CellCache::in_memory(usize::MAX),
+            key_trace: Fingerprint::from_bits(0),
+            fingerprint: OnceLock::new(),
             calls: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             disk_warm: 0,
@@ -332,7 +316,7 @@ impl<'a> UtilityOracle<'a> {
     /// Sets the numeric tier cell evaluations run at (builder style).
     ///
     /// Call this before querying or batch-evaluating any cells: the
-    /// result table caches values at whatever tier computed them, and
+    /// cell store caches values at whatever tier computed them, and
     /// the per-round base losses are evaluated at construction (at the
     /// process-default tier). The latter is harmless for cross-tier
     /// comparisons — every utility is a difference against the *same*
@@ -348,16 +332,14 @@ impl<'a> UtilityOracle<'a> {
     pub fn set_tier(&mut self, tier: DeterminismTier) {
         self.tier = tier;
         self.scratch.lock().ws.set_tier(tier);
-        // The shared cache keys on the tier, so a retiered oracle reads
-        // and writes a disjoint cell namespace — but its disk segments
-        // for the new tier may exist and deserve loading.
-        if let Some(shared) = &self.shared {
-            self.disk_warm += shared.cache.attach(shared.trace, tier.id());
-        }
+        // The cache keys on the tier, so a retiered oracle reads and
+        // writes a disjoint cell namespace — but a disk-backed cache may
+        // hold segments for the new tier that deserve loading.
+        self.disk_warm += self.cache.attach(self.key_trace, tier.id());
     }
 
     /// Attaches this oracle to the process-shared cell cache (builder
-    /// style): its result slots move from the private table to `cache`,
+    /// style): `cache` replaces the oracle's private store, with cells
     /// keyed by `(trace fingerprint, tier, round, subset)`, so
     /// concurrent and future oracles over the same trace share every
     /// completed cell — and, when the cache has a disk directory,
@@ -365,8 +347,8 @@ impl<'a> UtilityOracle<'a> {
     ///
     /// Sharing never changes values: cells are pure functions of the
     /// fingerprinted inputs, and the compute-once slot discipline is
-    /// identical in both modes. Call before evaluating any cells —
-    /// cells already in the private table are not migrated.
+    /// the same in every store. Call before evaluating any cells —
+    /// cells already in the private store are not migrated.
     pub fn with_shared_cache(mut self, cache: Arc<CellCache>) -> Self {
         self.set_shared_cache(cache);
         self
@@ -374,22 +356,22 @@ impl<'a> UtilityOracle<'a> {
 
     /// See [`Self::with_shared_cache`].
     pub fn set_shared_cache(&mut self, cache: Arc<CellCache>) {
-        let trace = self.fingerprint();
-        self.disk_warm += cache.attach(trace, self.tier.id());
-        self.shared = Some(SharedCells { cache, trace });
-    }
-
-    /// Whether this oracle serves cells from the shared cache tier.
-    pub fn shared_cache_enabled(&self) -> bool {
-        self.shared.is_some()
+        self.key_trace = self.fingerprint();
+        self.disk_warm += cache.attach(self.key_trace, self.tier.id());
+        self.cache = cache;
     }
 
     /// The 128-bit identity of everything a cell value depends on:
     /// model architecture descriptor + initial parameters, the full
     /// training trace, the test set, and the base losses (which also
     /// pin the tier they were evaluated at). Deterministic across
-    /// processes — this is the on-disk cache key prefix.
+    /// processes — this is the on-disk cache key prefix. Hashed once
+    /// per oracle and memoized.
     pub fn fingerprint(&self) -> Fingerprint {
+        *self.fingerprint.get_or_init(|| self.hash_inputs())
+    }
+
+    fn hash_inputs(&self) -> Fingerprint {
         let mut h = FingerprintHasher::new("fedval-trace-v1");
         h.write_bytes(self.prototype.cache_descriptor().as_bytes());
         h.write_f64s(self.prototype.params());
@@ -435,7 +417,7 @@ impl<'a> UtilityOracle<'a> {
 
     /// A fresh-cache clone of this oracle over the same trace, model
     /// architecture, and test set: the per-round base losses are copied
-    /// (not recounted), the result table starts empty, and the call
+    /// (not recounted), the cell store starts empty, and the call
     /// counter starts at zero. Used by
     /// `ValuationSession`'s isolated-runs mode so every method pays —
     /// and reports — its full evaluation cost instead of drafting behind
@@ -445,27 +427,25 @@ impl<'a> UtilityOracle<'a> {
     }
 
     /// [`Self::isolated`] with the clone's cell evaluations pinned to
-    /// `tier` — the fresh result table never mixes tiers. The copied
-    /// base losses keep their original values (see [`Self::with_tier`]
-    /// for why that cancels out of utility comparisons). Isolation also
-    /// drops any shared-cache attachment: an isolated oracle exists to
-    /// measure a method's full standalone cost, which drafting behind
-    /// the shared tier would hide.
+    /// `tier` — the fresh store never mixes tiers. The copied base
+    /// losses keep their original values (see [`Self::with_tier`] for
+    /// why that cancels out of utility comparisons). The clone gets a
+    /// private store even when this oracle is attached to a shared
+    /// cache: an isolated oracle exists to measure a method's full
+    /// standalone cost, which drafting behind the shared cache would
+    /// hide.
     pub fn isolated_with_tier(&self, tier: DeterminismTier) -> UtilityOracle<'a> {
         UtilityOracle {
-            trace: self.trace,
-            test_data: self.test_data,
-            prototype: self.prototype.clone_model(),
-            scratch: Mutex::new(CellScratch::new(self.prototype.clone_model(), tier)),
-            base_losses: self.base_losses.clone(),
-            table: RwLock::new(HashMap::new()),
-            shared: None,
-            calls: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            disk_warm: 0,
+            fingerprint: self.fingerprint.clone(),
             pool: self.pool.clone(),
             parallelism: self.parallelism,
-            tier,
+            ..Self::from_parts(
+                self.trace,
+                self.test_data,
+                &*self.prototype,
+                self.base_losses.clone(),
+                tier,
+            )
         }
     }
 
@@ -505,8 +485,8 @@ impl<'a> UtilityOracle<'a> {
 
     /// Planned cells served from an already-completed slot without a
     /// loss evaluation — the cache's contribution, counted when a batch
-    /// plan filters out resident cells (both private-table and
-    /// shared-cache modes). Repeat *reads* of a cell the same caller
+    /// plan filters out resident cells (in a private store or a shared
+    /// cache alike). Repeat *reads* of a cell the same caller
     /// already paid for are not hits; this counts work avoided, not
     /// lookups made.
     pub fn cell_hits(&self) -> u64 {
@@ -526,37 +506,27 @@ impl<'a> UtilityOracle<'a> {
         self.hits.store(0, Ordering::Relaxed);
     }
 
-    /// The shared-cache key for a cell of this oracle.
-    fn cell_key(&self, shared: &SharedCells, cell: (usize, Subset)) -> CellKey {
+    /// The cache key for a cell of this oracle.
+    fn cell_key(&self, cell: (usize, Subset)) -> CellKey {
         CellKey {
-            trace: shared.trace,
+            trace: self.key_trace,
             tier: self.tier.id(),
             round: cell.0 as u32,
             subset: cell.1.bits(),
         }
     }
 
-    /// The compute-once slot for a cell, creating it if needed — in the
-    /// shared cache when attached, in the private table otherwise.
-    fn slot(&self, cell: (usize, Subset)) -> Cell {
-        if let Some(shared) = &self.shared {
-            let (slot, _) = shared.cache.slot(self.cell_key(shared, cell));
-            return slot;
-        }
-        if let Some(slot) = self.table.read().get(&cell) {
-            return Arc::clone(slot);
-        }
-        Arc::clone(self.table.write().entry(cell).or_default())
+    /// The compute-once slot for a cell, reserving it if needed.
+    fn slot(&self, cell: (usize, Subset)) -> CellSlot {
+        self.cache.slot(self.cell_key(cell)).0
     }
 
-    /// Tells the shared cache a cell now holds `value` (making it a
-    /// spillable resident). No-op in private-table mode. Callers must
-    /// not hold the cell's lock: the cache may evict (and read) other
-    /// unpinned slots under its own mutex.
+    /// Tells the cache a cell now holds `value` (making it an evictable,
+    /// spillable resident). Callers must not hold the cell's lock: the
+    /// cache may evict (and read) other unpinned slots under its own
+    /// mutex.
     fn note_complete(&self, cell: (usize, Subset), value: f64) {
-        if let Some(shared) = &self.shared {
-            shared.cache.complete(self.cell_key(shared, cell), value);
-        }
+        self.cache.complete(self.cell_key(cell), value);
     }
 
     /// Evaluates one cell on the given scratch state: FedAvg aggregate
@@ -593,7 +563,7 @@ impl<'a> UtilityOracle<'a> {
         Ok(self.base_losses[t] - loss)
     }
 
-    /// Evaluates every planned cell that is not yet in the result table,
+    /// Evaluates every planned cell that is not yet in the cell store,
     /// in parallel across at most [`Self::parallelism`] chunks submitted
     /// to the configured pool, with per-chunk scratch models. Each cell
     /// is evaluated exactly once even when plans overlap or other
@@ -607,7 +577,7 @@ impl<'a> UtilityOracle<'a> {
     /// [`Self::evaluate_plan`] with cooperative cancellation: `cancel`
     /// is observed at cell boundaries, and once set the not-yet-started
     /// remainder of the batch is abandoned and `Err(Cancelled)` is
-    /// returned. Cells evaluated before the cut stay in the table (they
+    /// returned. Cells evaluated before the cut stay in the store (they
     /// are correct and already stored), so a retry resumes where the
     /// cancelled batch stopped.
     pub fn try_evaluate_plan(
@@ -617,7 +587,7 @@ impl<'a> UtilityOracle<'a> {
     ) -> Result<(), Cancelled> {
         cancel.check()?;
         let mut hits = 0u64;
-        let mut pending: Vec<((usize, Subset), Cell)> = Vec::new();
+        let mut pending: Vec<((usize, Subset), CellSlot)> = Vec::new();
         for &cell in plan.cells() {
             assert!(cell.0 < self.trace.num_rounds(), "round out of range");
             let slot = self.slot(cell);
@@ -686,9 +656,10 @@ impl<'a> UtilityOracle<'a> {
     /// The round utility `U_t(S)`. Empty coalitions produce no model, so
     /// `U_t(∅) = 0` by convention (no contribution, no utility).
     ///
-    /// A thin shim over the result table: planned-and-evaluated cells
-    /// cost one uncontended read lock; anything else is evaluated
-    /// serially on the shared scratch model and stored.
+    /// A thin shim over the cell store: planned-and-evaluated cells
+    /// cost one store lookup and an uncontended read lock; anything
+    /// else is evaluated serially on the shared scratch model and
+    /// stored.
     pub fn utility(&self, t: usize, s: Subset) -> f64 {
         assert!(t < self.trace.num_rounds(), "round out of range");
         if s.is_empty() {

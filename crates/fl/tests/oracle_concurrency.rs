@@ -14,6 +14,7 @@
 //! the oracle from many threads; the oracle itself routes all batch
 //! parallelism through `fedval_runtime::Pool`.)
 
+use fedval_cache::{CellCache, DEFAULT_MEM_BUDGET_BYTES};
 use fedval_data::Dataset;
 use fedval_fl::{train_federated, EvalPlan, FlConfig, Subset, UtilityOracle};
 use fedval_linalg::Matrix;
@@ -281,23 +282,36 @@ fn cancelled_batch_reports_cancelled_and_keeps_partial_results() {
 #[test]
 fn isolated_oracle_starts_with_an_empty_cache() {
     let (trace, proto, test) = world(5, 3, 3);
-    let oracle = UtilityOracle::new(&trace, &proto, &test);
     let plan = full_plan(5, 3);
-    oracle.reset_counter();
-    oracle.evaluate_plan(&plan);
-    let cost = oracle.loss_evaluations();
-    assert_eq!(cost, plan.len() as u64);
+    let shared = CellCache::in_memory(DEFAULT_MEM_BUDGET_BYTES);
+    let private_parent = UtilityOracle::new(&trace, &proto, &test);
+    let shared_parent =
+        UtilityOracle::new(&trace, &proto, &test).with_shared_cache(Arc::clone(&shared));
+    for oracle in [private_parent, shared_parent] {
+        oracle.reset_counter();
+        oracle.evaluate_plan(&plan);
+        let cost = oracle.loss_evaluations();
+        assert_eq!(cost, plan.len() as u64);
 
-    // The isolated clone re-pays the full cost and agrees bit-for-bit.
-    let iso = oracle.isolated();
-    assert_eq!(iso.loss_evaluations(), 0, "counter starts at zero");
-    iso.evaluate_plan(&plan);
-    assert_eq!(iso.loss_evaluations(), cost, "full cost paid again");
-    for &(t, s) in plan.cells() {
-        assert_eq!(oracle.utility(t, s).to_bits(), iso.utility(t, s).to_bits());
-    }
-    // Base losses were copied, not recounted.
-    for t in 0..3 {
-        assert_eq!(oracle.base_loss(t).to_bits(), iso.base_loss(t).to_bits());
+        // Each isolated clone re-pays the full cost, agrees bit-for-bit,
+        // and never reads or writes the parent's shared cache.
+        let resident = shared.stats().resident_cells;
+        for iso in [oracle.isolated(), oracle.isolated_with_tier(oracle.tier())] {
+            assert_eq!(iso.loss_evaluations(), 0, "counter starts at zero");
+            iso.evaluate_plan(&plan);
+            assert_eq!(iso.loss_evaluations(), cost, "full cost paid again");
+            assert_eq!(
+                shared.stats().resident_cells,
+                resident,
+                "an isolated clone must leave the shared cache alone"
+            );
+            for &(t, s) in plan.cells() {
+                assert_eq!(oracle.utility(t, s).to_bits(), iso.utility(t, s).to_bits());
+            }
+            // Base losses were copied, not recounted.
+            for t in 0..3 {
+                assert_eq!(oracle.base_loss(t).to_bits(), iso.base_loss(t).to_bits());
+            }
+        }
     }
 }

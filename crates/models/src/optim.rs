@@ -18,8 +18,8 @@ pub enum LearningRate {
     ///
     /// Note the paper's text writes `γ = max(8μ/L₂, 1)`, but the cited
     /// convergence result (Li et al., Theorem 1) and the decay analysis in
-    /// Appendix D require `γ = max(8 L₂/μ, 1)`; we implement the latter and
-    /// record the discrepancy in EXPERIMENTS.md.
+    /// Appendix D require `γ = max(8 L₂/μ, 1)`; we implement the latter
+    /// (see "Departures from the paper" in the README).
     InverseDecay {
         /// Strong-convexity modulus `μ`.
         mu: f64,

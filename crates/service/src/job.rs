@@ -63,7 +63,8 @@ pub struct JobSpec {
     pub permutations: usize,
     /// Coalition-sample budget for "group-testing".
     pub samples: usize,
-    /// Override: number of clients in the world.
+    /// Override: number of clients in the world (1 to
+    /// [`Subset::MAX_CLIENTS`]; more is rejected at submission).
     pub num_clients: Option<usize>,
     /// Override: training examples per client.
     pub samples_per_client: Option<usize>,
@@ -631,6 +632,12 @@ impl JobManager {
         if scenario.num_clients == 0 {
             return Err(SubmitError::InvalidSpec("num_clients must be > 0".into()));
         }
+        if scenario.num_clients > Subset::MAX_CLIENTS {
+            return Err(SubmitError::InvalidSpec(format!(
+                "num_clients must be <= {}",
+                Subset::MAX_CLIENTS
+            )));
+        }
         if scenario.samples_per_client == 0 {
             return Err(SubmitError::InvalidSpec(
                 "samples_per_client must be > 0".into(),
@@ -1195,6 +1202,15 @@ mod tests {
             manager.submit(spec).unwrap_err(),
             SubmitError::InvalidSpec(_)
         ));
+        // More clients than a subset mask holds is a spec error, not a
+        // panic inside the job.
+        let mut spec = JobSpec::new("fedsv");
+        spec.num_clients = Some(Subset::MAX_CLIENTS + 1);
+        assert_eq!(
+            manager.submit(spec).unwrap_err(),
+            SubmitError::InvalidSpec(format!("num_clients must be <= {}", Subset::MAX_CLIENTS))
+        );
+        assert_eq!(manager.active_jobs(), 0, "a rejected spec holds no slot");
     }
 
     #[test]

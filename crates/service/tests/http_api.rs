@@ -276,6 +276,15 @@ fn error_paths_return_structured_errors() {
     // Unknown method.
     let (status, _) = request(addr, "POST", "/jobs", r#"{"method": "alchemy"}"#);
     assert_eq!(status, 400);
+    // More clients than a subset mask holds.
+    let (status, body) = request(
+        addr,
+        "POST",
+        "/jobs",
+        r#"{"method": "fedsv", "num_clients": 64}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("num_clients"), "{body}");
     // Unknown job / route / verb.
     assert_eq!(request(addr, "GET", "/jobs/999", "").0, 404);
     assert_eq!(request(addr, "DELETE", "/jobs/999", "").0, 404);

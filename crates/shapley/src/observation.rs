@@ -15,7 +15,7 @@
 //! `(1−p)`, which makes the sum exceed 1; the trinomial requires `(1−2p)`
 //! (the neutral probability is `1 − 2p`), which we verified against direct
 //! enumeration and Monte-Carlo simulation. We implement the corrected
-//! version and record the discrepancy in EXPERIMENTS.md.
+//! version (see "Departures from the paper" in the README).
 
 use crate::coeffs::LogFactorial;
 

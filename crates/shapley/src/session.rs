@@ -174,13 +174,14 @@ impl ValuationSessionBuilder {
         self
     }
 
-    /// Gives every run its own fresh oracle cache
+    /// Gives every run its own fresh, private cell store
     /// ([`UtilityOracle::isolated`]), so each method's
     /// `cells_evaluated` is its full standalone cost rather than "new
     /// cells the previous methods happened not to need" — the stable
-    /// per-method accounting Fig.-8-style comparisons want. Costs more
-    /// wall clock (shared cells are re-evaluated per method); values are
-    /// unchanged either way.
+    /// per-method accounting Fig.-8-style comparisons want. The clone
+    /// never reads or writes a shared cache the oracle is attached to.
+    /// Costs more wall clock (cells are re-evaluated per method); values
+    /// are unchanged either way.
     pub fn isolated_runs(mut self, isolated: bool) -> Self {
         self.isolated_runs = isolated;
         self

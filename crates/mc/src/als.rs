@@ -2,20 +2,52 @@
 //!
 //! Each ALS half-step solves, per row (resp. column), the exact ridge
 //! sub-problem of objective (9)/(13) with the other factor fixed — so the
-//! objective is monotonically non-increasing, which the tests verify. Rows
-//! and columns are independent within a half-step and are solved in
+//! objective is monotonically non-increasing, which the tests verify.
+//!
+//! **One factorization per distinct system.** A target's ridge system is
+//! `(AᵀA + λI) x = Aᵀb`, where the rows of `A` are the other factor's
+//! rows at the target's observed entries, in entry order. Within a
+//! half-step the other factor is fixed, so the left-hand side depends
+//! only on that ordered sequence of other-side indices. A `Side` lays
+//! out each target's `(other index, value)` pairs contiguously and
+//! groups the targets by their sequence, once per solve: the grouping
+//! cannot change across sweeps. Each sweep then factors every group once
+//! ([`cholesky::ridge_factor_into`]), and each target only accumulates
+//! its right-hand side and substitutes against its group's factor
+//! ([`cholesky::ridge_solve_factored`], a few targets in lockstep so
+//! their serial division chains overlap). The utility matrices ComFedSV
+//! completes have thousands of subset columns but few distinct
+//! observation patterns (about 80 for 3,000 columns in the benchmark's
+//! warm jobs), so most Gram assemblies and factorizations are shared. A
+//! problem whose sequences are all distinct pays one extra grouping pass
+//! per solve, not per sweep.
+//!
+//! **Bit-identical to one ridge solve per target.** Every target still
+//! goes through the same IEEE operations in the same order as a
+//! [`cholesky::ridge_solve_into`] call on its own design: the Gram
+//! summed in entry order with `λ` added last, the same factorization,
+//! the right-hand side accumulated in entry order, then forward and back
+//! substitution with true divisions. The group key is the *ordered*
+//! sequence, not the set of rows, because the Gram's sums follow entry
+//! order: the same rows hit in another order form another group. Targets
+//! with no observations share the empty sequence's group; their system
+//! `λI x = 0` solves to exactly `+0.0`, as the ridge solve of an empty
+//! design does. The tests pin all of this against a per-target reference.
+//!
+//! Targets are independent within a half-step and are solved in
 //! parallel through the persistent `fedval_runtime` pool (see
-//! `crate::parallel`), eliminating the per-sweep thread-spawn overhead
-//! the old scoped-thread implementation paid.
+//! `crate::parallel`); each writes only its own factor row, so the
+//! result does not depend on the pool size.
 
 use crate::completer::{check_finite, Completion, CompletionError, MatrixCompleter, SolveHooks};
 use crate::factors::Factors;
-use crate::parallel::pooled_rows_init;
+use crate::parallel::{pooled_rows, pooled_rows_init};
 use crate::problem::CompletionProblem;
 use fedval_linalg::{cholesky, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
+use std::collections::HashMap;
 
 /// ALS configuration.
 #[derive(Debug, Clone)]
@@ -101,19 +133,10 @@ pub fn solve_als(problem: &CompletionProblem, config: &AlsConfig) -> (Factors, V
     }
 }
 
-/// The ALS iteration itself; configuration validity is the caller's
-/// responsibility ([`MatrixCompleter::complete`] checks it).
-fn run_als(
-    problem: &CompletionProblem,
-    config: &AlsConfig,
-    mut hooks: SolveHooks<'_>,
-) -> Result<(Factors, Vec<f64>), CompletionError> {
-    let t = problem.num_rows();
-    let c = problem.num_cols();
+/// Small random init, scaled so initial predictions have the magnitude
+/// of the observed values.
+fn init_factors(problem: &CompletionProblem, config: &AlsConfig) -> Factors {
     let r = config.rank;
-
-    // Small random init, scaled so initial predictions have the magnitude
-    // of the observed values.
     let scale = {
         let mean_abs = if problem.num_observations() == 0 {
             1.0
@@ -128,16 +151,34 @@ fn run_als(
         (mean_abs.max(1e-6) / r as f64).sqrt()
     };
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let mut factors = Factors {
-        w: Matrix::from_fn(t, r, |_, _| (rng.random::<f64>() - 0.5) * 2.0 * scale),
-        h: Matrix::from_fn(c, r, |_, _| (rng.random::<f64>() - 0.5) * 2.0 * scale),
-    };
+    Factors {
+        w: Matrix::from_fn(problem.num_rows(), r, |_, _| {
+            (rng.random::<f64>() - 0.5) * 2.0 * scale
+        }),
+        h: Matrix::from_fn(problem.num_cols(), r, |_, _| {
+            (rng.random::<f64>() - 0.5) * 2.0 * scale
+        }),
+    }
+}
+
+/// The ALS iteration itself; configuration validity is the caller's
+/// responsibility ([`MatrixCompleter::complete`] checks it).
+fn run_als(
+    problem: &CompletionProblem,
+    config: &AlsConfig,
+    mut hooks: SolveHooks<'_>,
+) -> Result<(Factors, Vec<f64>), CompletionError> {
+    let mut factors = init_factors(problem, config);
+    let rows = Side::rows(problem);
+    let cols = Side::cols(problem);
+    let mut chol = Vec::new();
 
     let mut objective_trace = vec![factors.objective(problem, config.lambda)];
     for sweep in 0..config.max_iters {
         hooks.check()?;
-        half_step_rows(problem, &mut factors, config.lambda);
-        half_step_cols(problem, &mut factors, config.lambda);
+        let Factors { w, h } = &mut factors;
+        rows.half_step(h, w, config.lambda, &mut chol);
+        cols.half_step(w, h, config.lambda, &mut chol);
         let obj = factors.objective(problem, config.lambda);
         let prev = *objective_trace.last().expect("non-empty");
         objective_trace.push(obj);
@@ -149,94 +190,138 @@ fn run_als(
     Ok((factors, objective_trace))
 }
 
-/// Per-worker buffers for the ridge sub-solves of one half-step: the
-/// gathered design matrix and right-hand side, plus the Gram/Cholesky
-/// scratch. Reused across every row a worker handles — the half-steps
-/// used to allocate all four per sub-solve.
-#[derive(Default)]
-struct RowScratch {
-    design: Matrix,
-    rhs: Vec<f64>,
-    ridge: cholesky::RidgeScratch,
+/// Right-hand sides a half-step substitutes in lockstep
+/// ([`cholesky::ridge_solve_factored`] on a batch): enough to overlap
+/// the serial division chains of rank-4 systems, few enough that a batch
+/// stays in registers and L1.
+const SOLVE_BATCH: usize = 4;
+
+/// One side of the factorization as a half-step sees it: the targets it
+/// solves (the rows of `W`, or the rows of `H`), each with its observed
+/// `(other index, value)` pairs laid out contiguously in entry order,
+/// and the targets grouped by their ordered sequence of other indices.
+struct Side {
+    /// Target `t`'s pairs are at `starts[t]..starts[t + 1]`.
+    starts: Vec<usize>,
+    /// Other-side index (column for a row target, row for a column
+    /// target) of each pair.
+    others: Vec<usize>,
+    /// Observed value of each pair.
+    values: Vec<f64>,
+    /// Each target's group. Targets with no observations share the
+    /// group of the empty sequence, whose system `λI x = 0` solves to
+    /// exactly `+0.0`.
+    group: Vec<usize>,
+    /// Per group, its first target, whose design defines the group's
+    /// factor.
+    leaders: Vec<usize>,
 }
 
-/// Solves every row of `W` given fixed `H`.
-fn half_step_rows(problem: &CompletionProblem, factors: &mut Factors, lambda: f64) {
-    let r = factors.rank();
-    let h = factors.h.clone();
-    pooled_rows_init(
-        factors.w.as_mut_slice(),
-        r,
-        RowScratch::default,
-        |scratch, row, out| {
-            let entry_ids = problem.row_entries(row);
-            solve_one(problem, &h, entry_ids, lambda, Side::Row, scratch, out);
-        },
-    );
-}
-
-/// Solves every row of `H` given fixed `W`.
-fn half_step_cols(problem: &CompletionProblem, factors: &mut Factors, lambda: f64) {
-    let r = factors.rank();
-    let w = factors.w.clone();
-    pooled_rows_init(
-        factors.h.as_mut_slice(),
-        r,
-        RowScratch::default,
-        |scratch, col, out| {
-            let entry_ids = problem.col_entries(col);
-            solve_one(problem, &w, entry_ids, lambda, Side::Col, scratch, out);
-        },
-    );
-}
-
-enum Side {
-    Row,
-    Col,
-}
-
-/// Ridge-solves one factor row against its observed entries, assembling
-/// the normal equations through the blocked
-/// [`gemm`](fedval_linalg::gemm) Gram kernel
-/// ([`cholesky::ridge_solve_into`]). A row/column with no observations
-/// is regularized to zero.
-fn solve_one(
-    problem: &CompletionProblem,
-    other: &Matrix,
-    entry_ids: &[usize],
-    lambda: f64,
-    side: Side,
-    scratch: &mut RowScratch,
-    out: &mut [f64],
-) {
-    if entry_ids.is_empty() {
-        out.iter_mut().for_each(|v| *v = 0.0);
-        return;
+impl Side {
+    /// The rows of `W`: each round against the columns it observed.
+    fn rows(problem: &CompletionProblem) -> Side {
+        Side::new(
+            problem,
+            problem.num_rows(),
+            |t| problem.row_entries(t),
+            |(_, col)| col,
+        )
     }
-    let rank = other.cols();
-    // Every design row is fully overwritten below; skip the zero-fill.
-    scratch.design.resize_for_overwrite(entry_ids.len(), rank);
-    scratch.rhs.clear();
-    for (k, &eid) in entry_ids.iter().enumerate() {
-        let (row, col, value) = problem.entries()[eid];
-        let other_index = match side {
-            Side::Row => col,
-            Side::Col => row,
-        };
-        scratch
-            .design
-            .row_mut(k)
-            .copy_from_slice(other.row(other_index));
-        scratch.rhs.push(value);
+
+    /// The rows of `H`: each subset column against the rounds that
+    /// observed it.
+    fn cols(problem: &CompletionProblem) -> Side {
+        Side::new(
+            problem,
+            problem.num_cols(),
+            |t| problem.col_entries(t),
+            |(row, _)| row,
+        )
     }
-    cholesky::ridge_solve_into(
-        &scratch.design,
-        &scratch.rhs,
-        lambda,
-        out,
-        &mut scratch.ridge,
-    )
-    .expect("ridge system is SPD for lambda > 0");
+
+    fn new<'p>(
+        problem: &'p CompletionProblem,
+        targets: usize,
+        entry_ids: impl Fn(usize) -> &'p [usize],
+        other: impl Fn((usize, usize)) -> usize,
+    ) -> Side {
+        let n = problem.num_observations();
+        let mut starts = Vec::with_capacity(targets + 1);
+        let mut others = Vec::with_capacity(n);
+        let mut values = Vec::with_capacity(n);
+        starts.push(0);
+        for t in 0..targets {
+            for &eid in entry_ids(t) {
+                let (row, col, value) = problem.entries()[eid];
+                others.push(other((row, col)));
+                values.push(value);
+            }
+            starts.push(others.len());
+        }
+        let mut leaders = Vec::new();
+        let mut by_sequence: HashMap<&[usize], usize> = HashMap::new();
+        let group = (0..targets)
+            .map(|t| {
+                *by_sequence
+                    .entry(&others[starts[t]..starts[t + 1]])
+                    .or_insert_with(|| {
+                        leaders.push(t);
+                        leaders.len() - 1
+                    })
+            })
+            .collect();
+        Side {
+            starts,
+            others,
+            values,
+            group,
+            leaders,
+        }
+    }
+
+    /// Target `t`'s other-side indices, in entry order.
+    fn others(&self, t: usize) -> &[usize] {
+        &self.others[self.starts[t]..self.starts[t + 1]]
+    }
+
+    /// Ridge-solves every target row of `target` against the fixed
+    /// `other` factor: factors each group's Gram once into `chol` (one
+    /// `r × r` block per group), then per target accumulates the
+    /// right-hand side in entry order and substitutes against its
+    /// group's factor, `SOLVE_BATCH` targets at a time.
+    fn half_step(&self, other: &Matrix, target: &mut Matrix, lambda: f64, chol: &mut Vec<f64>) {
+        let r = other.cols();
+        chol.resize(self.leaders.len() * r * r, 0.0);
+        pooled_rows_init(chol, r * r, Matrix::default, |design, g, l| {
+            let sequence = self.others(self.leaders[g]);
+            // Every design row is fully overwritten below; skip the
+            // zero-fill.
+            design.resize_for_overwrite(sequence.len(), r);
+            for (k, &o) in sequence.iter().enumerate() {
+                design.row_mut(k).copy_from_slice(other.row(o));
+            }
+            cholesky::ridge_factor_into(design, lambda, l)
+                .expect("ridge system is SPD for lambda > 0");
+        });
+        let factor = |t: usize| &chol[self.group[t] * r * r..(self.group[t] + 1) * r * r];
+        pooled_rows(target.as_mut_slice(), SOLVE_BATCH * r, |batch, xs| {
+            let first = batch * SOLVE_BATCH;
+            let count = xs.len() / r;
+            for (t, x) in (first..).zip(xs.chunks_exact_mut(r)) {
+                x.iter_mut().for_each(|v| *v = 0.0);
+                let span = self.starts[t]..self.starts[t + 1];
+                for (&o, &v) in self.others[span.clone()].iter().zip(&self.values[span]) {
+                    fedval_linalg::vector::axpy(v, other.row(o), x);
+                }
+            }
+            // A short last batch repeats its last factor in the unused
+            // slots; only the first `count` are passed.
+            let ls: [&[f64]; SOLVE_BATCH] =
+                std::array::from_fn(|k| factor(first + k.min(count - 1)));
+            cholesky::ridge_solve_factored(&ls[..count], xs)
+                .expect("factor and solution ranks agree");
+        });
+    }
 }
 
 #[cfg(test)]
@@ -326,6 +411,148 @@ mod tests {
         let (factors, _) = solve_als(&p, &AlsConfig::new(2));
         for v in factors.h.row(ghost) {
             assert_eq!(*v, 0.0);
+        }
+    }
+
+    /// The per-target reference the grouped half-step must match bit
+    /// for bit: one [`cholesky::ridge_solve_into`] per target, on its
+    /// design gathered in entry order.
+    fn reference_half_step(
+        problem: &CompletionProblem,
+        other: &Matrix,
+        target: &mut Matrix,
+        lambda: f64,
+        entry_ids: impl Fn(usize) -> Vec<usize>,
+        pick: impl Fn((usize, usize)) -> usize,
+    ) {
+        let mut scratch = cholesky::RidgeScratch::new();
+        for t in 0..target.rows() {
+            let ids = entry_ids(t);
+            let entry = |k: usize| problem.entries()[ids[k]];
+            let design = Matrix::from_fn(ids.len(), other.cols(), |k, p| {
+                let (row, col, _) = entry(k);
+                other.get(pick((row, col)), p)
+            });
+            let b: Vec<f64> = (0..ids.len()).map(|k| entry(k).2).collect();
+            cholesky::ridge_solve_into(&design, &b, lambda, target.row_mut(t), &mut scratch)
+                .unwrap();
+        }
+    }
+
+    /// [`run_als`] with the reference half-steps.
+    fn reference_als(problem: &CompletionProblem, config: &AlsConfig) -> (Factors, Vec<f64>) {
+        let mut f = init_factors(problem, config);
+        let mut trace = vec![f.objective(problem, config.lambda)];
+        for _ in 0..config.max_iters {
+            let Factors { w, h } = &mut f;
+            let rows = |t| problem.row_entries(t).to_vec();
+            let cols = |t| problem.col_entries(t).to_vec();
+            reference_half_step(problem, h, w, config.lambda, rows, |(_, col)| col);
+            reference_half_step(problem, w, h, config.lambda, cols, |(row, _)| row);
+            let obj = f.objective(problem, config.lambda);
+            let prev = *trace.last().unwrap();
+            trace.push(obj);
+            if prev - obj <= config.tol * prev.abs().max(1e-12) {
+                break;
+            }
+        }
+        (f, trace)
+    }
+
+    #[test]
+    fn grouped_half_steps_match_per_target_solves_bitwise() {
+        // The widest pool the CI runs (`FEDVAL_THREADS=4`).
+        let threads = 4;
+        let (t, rank) = (12, 3);
+        let mut rng = StdRng::seed_from_u64(21);
+        let w = Matrix::from_fn(t, rank, |_, _| rng.random::<f64>() * 2.0 - 1.0);
+        let value = |rng: &mut StdRng, row: usize, key: u64| {
+            let h: Vec<f64> = (0..rank)
+                .map(|p| ((key as f64 + 1.0) * (p as f64 + 0.5)).sin())
+                .collect();
+            fedval_linalg::vector::dot(w.row(row), &h) + 0.01 * (rng.random::<f64>() - 0.5)
+        };
+        let mut p = CompletionProblem::new(t);
+        // Random masks: mostly distinct sequences, most longer than the
+        // rank.
+        let mut key = 0u64;
+        for _ in 0..640 {
+            for row in 0..t {
+                if rng.random::<f64>() < 0.5 {
+                    let v = value(&mut rng, row, key);
+                    p.add_observation(row, key, v);
+                }
+            }
+            key += 1;
+        }
+        // Three shared patterns, twenty columns each.
+        for pattern in [&[0usize, 3, 5, 9][..], &[2, 4], &[11, 1, 6, 7, 8]] {
+            for _ in 0..20 {
+                for &row in pattern {
+                    let v = value(&mut rng, row, key);
+                    p.add_observation(row, key, v);
+                }
+                key += 1;
+            }
+        }
+        // The same rows hit in two orders, four times over.
+        let mut reversed_pairs = Vec::new();
+        for rows in [
+            &[1usize, 4, 7, 10, 0, 3][..],
+            &[2, 3, 5, 8, 9, 11, 6],
+            &[0, 11, 5, 2],
+            &[6, 7, 8, 9, 10],
+        ] {
+            for order in [rows.to_vec(), rows.iter().rev().copied().collect()] {
+                for &row in &order {
+                    let v = value(&mut rng, row, key);
+                    p.add_observation(row, key, v);
+                }
+                key += 1;
+            }
+            reversed_pairs.push((key - 2, key - 1));
+        }
+        // A duplicated observation of one cell.
+        let twice = key;
+        for &row in &[2usize, 5, 2] {
+            p.add_observation(row, twice, value(&mut rng, row, twice));
+        }
+        key += 1;
+        // Columns nobody observed.
+        let ghosts: Vec<usize> = (key..key + 5).map(|k| p.ensure_column(k)).collect();
+
+        let cols = Side::cols(&p);
+        for (forward, backward) in reversed_pairs {
+            let (f, b) = (
+                p.column_index(forward).unwrap(),
+                p.column_index(backward).unwrap(),
+            );
+            let mut reversed = cols.others(b).to_vec();
+            reversed.reverse();
+            assert_eq!(cols.others(f), &reversed[..]);
+            assert_ne!(
+                cols.group[f], cols.group[b],
+                "ordered sequences, not row sets"
+            );
+        }
+        assert_eq!(cols.others(p.column_index(twice).unwrap()), &[2, 5, 2]);
+        let shared = p.column_index(640).unwrap();
+        assert_eq!(cols.group[shared], cols.group[shared + 19]);
+        // Both phases of the column half-step take the pooled path.
+        let min_rows = crate::parallel::MIN_ROWS_PER_WORKER * threads;
+        assert!(cols.leaders.len() > min_rows);
+        assert!(p.num_cols() / SOLVE_BATCH > min_rows);
+
+        let config = AlsConfig::new(rank).with_lambda(0.05).with_max_iters(8);
+        let (grouped, trace) = solve_als(&p, &config);
+        let (reference, ref_trace) = reference_als(&p, &config);
+        let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(trace.len(), 9, "all sweeps ran");
+        assert_eq!(bits(&trace), bits(&ref_trace));
+        assert_eq!(bits(grouped.w.as_slice()), bits(reference.w.as_slice()));
+        assert_eq!(bits(grouped.h.as_slice()), bits(reference.h.as_slice()));
+        for &g in &ghosts {
+            assert!(grouped.h.row(g).iter().all(|v| v.to_bits() == 0));
         }
     }
 

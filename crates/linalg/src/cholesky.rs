@@ -60,7 +60,7 @@ impl CholeskyFactor {
             });
         }
         let mut y = b.to_vec();
-        substitute(&[self.l.as_slice()], &mut y, n);
+        substitute(self.l.as_slice(), &mut y, n);
         Ok(y)
     }
 
@@ -116,37 +116,26 @@ fn factor_in_place(g: &mut [f64], n: usize) -> Result<()> {
     Ok(())
 }
 
-/// Forward/backward substitution `A x = b` with `A = L Lᵀ` for a batch
-/// of systems: system `s` solves in place over the `n`-wide row `s` of
-/// `xs` (its `b` on entry, its `x` on exit) against the row-major `n × n`
-/// factor `ls[s]`, of which only the lower triangle is read. The systems
-/// advance one pivot at a time in lockstep, so their division chains
-/// overlap in the pipeline; each system sees exactly the operations of a
-/// lone solve.
-fn substitute(ls: &[&[f64]], xs: &mut [f64], n: usize) {
-    debug_assert_eq!(xs.len(), ls.len() * n);
-    if n == 0 {
-        return;
-    }
+/// Forward/backward substitution `A x = b` with `A = L Lᵀ`, in place
+/// over `x` (`b` on entry, `x` on exit), against the row-major `n × n`
+/// factor `l`, of which only the lower triangle is read.
+fn substitute(l: &[f64], x: &mut [f64], n: usize) {
+    debug_assert_eq!(x.len(), n);
     // Forward: L y = b.
     for i in 0..n {
-        for (l, y) in ls.iter().zip(xs.chunks_exact_mut(n)) {
-            let mut v = y[i];
-            for k in 0..i {
-                v -= l[i * n + k] * y[k];
-            }
-            y[i] = v / l[i * n + i];
+        let mut v = x[i];
+        for k in 0..i {
+            v -= l[i * n + k] * x[k];
         }
+        x[i] = v / l[i * n + i];
     }
     // Backward: Lᵀ x = y.
     for i in (0..n).rev() {
-        for (l, y) in ls.iter().zip(xs.chunks_exact_mut(n)) {
-            let mut v = y[i];
-            for k in (i + 1)..n {
-                v -= l[k * n + i] * y[k];
-            }
-            y[i] = v / l[i * n + i];
+        let mut v = x[i];
+        for k in (i + 1)..n {
+            v -= l[k * n + i] * x[k];
         }
+        x[i] = v / l[i * n + i];
     }
 }
 
@@ -206,7 +195,7 @@ pub fn ridge_solve_into(
     for (i, &bi) in b.iter().enumerate() {
         crate::vector::axpy(bi, a.row(i), out);
     }
-    ridge_solve_factored(&[&scratch.l], out)
+    ridge_solve_factored(&scratch.l, out)
 }
 
 /// Factor step of [`ridge_solve_into`]: assembles `G = AᵀA + λI` into
@@ -242,25 +231,21 @@ pub fn ridge_factor_into(a: &Matrix, lambda: f64, l: &mut [f64]) -> Result<()> {
     factor_in_place(l, r)
 }
 
-/// Solve step of [`ridge_solve_into`], for a batch of systems: `x`
-/// holds `ls.len()` right-hand sides `Aᵀ b` of length `r` back to back,
-/// and on exit the solutions, the `s`-th of `L Lᵀ x = Aᵀ b` with `L =
-/// ls[s]` from [`ridge_factor_into`] (`r²` long; only its lower triangle
-/// is read). Forward then back substitution, each step a true division
-/// by the pivot. Every solution is bit-identical to solving its system
-/// alone (a batch of one). A batch runs its systems in lockstep so their
-/// serial division chains overlap; at rank 4, batches of four solve
-/// about three times faster than one system at a time.
-pub fn ridge_solve_factored(ls: &[&[f64]], x: &mut [f64]) -> Result<()> {
-    let r = x.len().checked_div(ls.len()).unwrap_or(0);
-    if x.len() != ls.len() * r || ls.iter().any(|l| l.len() != r * r) {
+/// Solve step of [`ridge_solve_into`]: `x` holds the right-hand side
+/// `Aᵀ b` (length `r`) on entry and the solution of `L Lᵀ x = Aᵀ b` on
+/// exit, with `L` from [`ridge_factor_into`] (`r²` long; only its lower
+/// triangle is read). Forward then back substitution, each step a true
+/// division by the pivot.
+pub fn ridge_solve_factored(l: &[f64], x: &mut [f64]) -> Result<()> {
+    let r = x.len();
+    if l.len() != r * r {
         return Err(LinalgError::ShapeMismatch {
             op: "ridge_solve_factored",
-            lhs: (ls.len(), r * r),
-            rhs: (x.len(), 1),
+            lhs: (l.len(), 1),
+            rhs: (r, 1),
         });
     }
-    substitute(ls, x, r);
+    substitute(l, x, r);
     Ok(())
 }
 
@@ -386,26 +371,8 @@ mod tests {
         for (i, &bi) in b.iter().enumerate() {
             crate::vector::axpy(bi, a.row(i), &mut x);
         }
-        ridge_solve_factored(&[&l], &mut x).unwrap();
+        ridge_solve_factored(&l, &mut x).unwrap();
         for (x, y) in x.iter().zip(&expect) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        // A batch pairing that system with another solves each one as
-        // if it were alone.
-        let c = Matrix::from_rows(&[&[0.7, -0.2], &[0.1, 0.9], &[0.4, 0.4]]).unwrap();
-        let d = [1.5, -0.5, 0.25];
-        let alone = ridge_solve(&c, &d, 0.05).unwrap();
-        let mut m = vec![0.0; 4];
-        ridge_factor_into(&c, 0.05, &mut m).unwrap();
-        let mut batch = vec![0.0; 4];
-        for (i, &bi) in b.iter().enumerate() {
-            crate::vector::axpy(bi, a.row(i), &mut batch[..2]);
-        }
-        for (i, &di) in d.iter().enumerate() {
-            crate::vector::axpy(di, c.row(i), &mut batch[2..]);
-        }
-        ridge_solve_factored(&[&l, &m], &mut batch).unwrap();
-        for (x, y) in batch.iter().zip(expect.iter().chain(&alone)) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
         // The factor is the Cholesky factor of AᵀA + λI, bit for bit.
@@ -430,8 +397,7 @@ mod tests {
         let mut short = vec![0.0; 1];
         assert!(ridge_solve_into(&a, &b, 0.05, &mut short, &mut scratch).is_err());
         assert!(ridge_factor_into(&a, 0.05, &mut short).is_err());
-        assert!(ridge_solve_factored(&[&l], &mut short).is_err());
-        assert!(ridge_solve_factored(&[&l, &m], &mut x).is_err());
+        assert!(ridge_solve_factored(&l, &mut short).is_err());
     }
 
     #[test]
@@ -442,7 +408,7 @@ mod tests {
             Vec::<f64>::new()
         );
         let mut empty: Vec<f64> = Vec::new();
-        ridge_solve_factored(&[&[], &[]], &mut empty).unwrap();
+        ridge_solve_factored(&[], &mut empty).unwrap();
     }
 
     #[test]

@@ -14,13 +14,18 @@
 //! cannot change across sweeps. Each sweep then factors every group once
 //! ([`cholesky::ridge_factor_into`]), and each target only accumulates
 //! its right-hand side and substitutes against its group's factor
-//! ([`cholesky::ridge_solve_factored`], a few targets in lockstep so
-//! their serial division chains overlap). The utility matrices ComFedSV
+//! ([`cholesky::ridge_solve_factored`]). The utility matrices ComFedSV
 //! completes have thousands of subset columns but few distinct
 //! observation patterns (about 80 for 3,000 columns in the benchmark's
 //! warm jobs), so most Gram assemblies and factorizations are shared. A
 //! problem whose sequences are all distinct pays one extra grouping pass
 //! per solve, not per sweep.
+//!
+//! Targets are substituted one at a time. Interleaving four targets'
+//! division chains made the column half-step 2.6–2.7× faster on an
+//! otherwise idle core, but throughput-bound: on a shared 2-vCPU Xeon VM
+//! it ran 1.6–1.9× slower whenever the host was busy, against about
+//! 1.25× for one chain at a time, so job latency split into two modes.
 //!
 //! **Bit-identical to one ridge solve per target.** Every target still
 //! goes through the same IEEE operations in the same order as a
@@ -190,12 +195,6 @@ fn run_als(
     Ok((factors, objective_trace))
 }
 
-/// Right-hand sides a half-step substitutes in lockstep
-/// ([`cholesky::ridge_solve_factored`] on a batch): enough to overlap
-/// the serial division chains of rank-4 systems, few enough that a batch
-/// stays in registers and L1.
-const SOLVE_BATCH: usize = 4;
-
 /// One side of the factorization as a half-step sees it: the targets it
 /// solves (the rows of `W`, or the rows of `H`), each with its observed
 /// `(other index, value)` pairs laid out contiguously in entry order,
@@ -288,7 +287,7 @@ impl Side {
     /// `other` factor: factors each group's Gram once into `chol` (one
     /// `r × r` block per group), then per target accumulates the
     /// right-hand side in entry order and substitutes against its
-    /// group's factor, `SOLVE_BATCH` targets at a time.
+    /// group's factor.
     fn half_step(&self, other: &Matrix, target: &mut Matrix, lambda: f64, chol: &mut Vec<f64>) {
         let r = other.cols();
         chol.resize(self.leaders.len() * r * r, 0.0);
@@ -304,22 +303,13 @@ impl Side {
                 .expect("ridge system is SPD for lambda > 0");
         });
         let factor = |t: usize| &chol[self.group[t] * r * r..(self.group[t] + 1) * r * r];
-        pooled_rows(target.as_mut_slice(), SOLVE_BATCH * r, |batch, xs| {
-            let first = batch * SOLVE_BATCH;
-            let count = xs.len() / r;
-            for (t, x) in (first..).zip(xs.chunks_exact_mut(r)) {
-                x.iter_mut().for_each(|v| *v = 0.0);
-                let span = self.starts[t]..self.starts[t + 1];
-                for (&o, &v) in self.others[span.clone()].iter().zip(&self.values[span]) {
-                    fedval_linalg::vector::axpy(v, other.row(o), x);
-                }
+        pooled_rows(target.as_mut_slice(), r, |t, x| {
+            x.iter_mut().for_each(|v| *v = 0.0);
+            let span = self.starts[t]..self.starts[t + 1];
+            for (&o, &v) in self.others[span.clone()].iter().zip(&self.values[span]) {
+                fedval_linalg::vector::axpy(v, other.row(o), x);
             }
-            // A short last batch repeats its last factor in the unused
-            // slots; only the first `count` are passed.
-            let ls: [&[f64]; SOLVE_BATCH] =
-                std::array::from_fn(|k| factor(first + k.min(count - 1)));
-            cholesky::ridge_solve_factored(&ls[..count], xs)
-                .expect("factor and solution ranks agree");
+            cholesky::ridge_solve_factored(factor(t), x).expect("factor and solution ranks agree");
         });
     }
 }
@@ -541,7 +531,7 @@ mod tests {
         // Both phases of the column half-step take the pooled path.
         let min_rows = crate::parallel::MIN_ROWS_PER_WORKER * threads;
         assert!(cols.leaders.len() > min_rows);
-        assert!(p.num_cols() / SOLVE_BATCH > min_rows);
+        assert!(p.num_cols() > min_rows);
 
         let config = AlsConfig::new(rank).with_lambda(0.05).with_max_iters(8);
         let (grouped, trace) = solve_als(&p, &config);

@@ -25,7 +25,9 @@
 //! * `*_train` — full-batch gradient-descent passes (the trainer's local
 //!   update), samples/sec = `samples × passes / seconds`;
 //! * `mlp_cell_loss` — repeated test-set loss evaluations (exactly what
-//!   a utility-oracle cell costs), samples/sec likewise.
+//!   a utility-oracle cell costs), samples/sec likewise;
+//! * `logistic_cell_loss` — the same for perfbench's cell (a logistic
+//!   model, d=60, C=10, 160 test rows): the cold job's hot loop.
 //!
 //! Output: an aligned table on stdout and machine-readable JSON written
 //! to `target/BENCH_cell_throughput.json` (schema documented in the
@@ -237,7 +239,7 @@ fn compare_against_committed(measurements: &[Measurement], baseline_path: &str) 
         {
             matched += 1;
             println!(
-                "{:>16}  {:>12}  {:>9}  {:>6.2}x  ({:.0} vs {:.0})",
+                "{:>18}  {:>12}  {:>9}  {:>6.2}x  ({:.0} vs {:.0})",
                 case,
                 path,
                 tier,
@@ -249,6 +251,68 @@ fn compare_against_committed(measurements: &[Measurement], baseline_path: &str) 
     }
     if matched == 0 {
         println!("(no comparable rows found in the committed baseline)");
+    }
+}
+
+/// Times `reps` test-set loss evaluations on a fixed model three ways
+/// (per-sample reference, batched BitExact, batched Fast); asserts the
+/// BitExact sum bit-identical to the reference and Fast within tolerance.
+fn push_loss_case<M: Model>(
+    out: &mut Vec<Measurement>,
+    case: &'static str,
+    model: &M,
+    loss_ref: impl Fn(&M, &Dataset) -> f64,
+    data: &Dataset,
+    reps: usize,
+) {
+    let mut ws_exact = fedval_models::Workspace::bit_exact();
+    let mut ws_fast = fedval_models::Workspace::new().with_tier(DeterminismTier::Fast);
+    let mut secs_exact = f64::INFINITY;
+    let mut secs_fast = f64::INFINITY;
+    let mut secs_ref = f64::INFINITY;
+    let mut acc_exact = 0.0;
+    let mut acc_fast = 0.0;
+    let mut acc_ref = 0.0;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        acc_exact = 0.0;
+        for _ in 0..reps {
+            acc_exact += model.loss_with(data, &mut ws_exact);
+        }
+        secs_exact = secs_exact.min(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        acc_fast = 0.0;
+        for _ in 0..reps {
+            acc_fast += model.loss_with(data, &mut ws_fast);
+        }
+        secs_fast = secs_fast.min(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        acc_ref = 0.0;
+        for _ in 0..reps {
+            acc_ref += loss_ref(model, data);
+        }
+        secs_ref = secs_ref.min(t0.elapsed().as_secs_f64());
+    }
+    assert_eq!(
+        acc_ref.to_bits(),
+        acc_exact.to_bits(),
+        "{case}: bit-exact batched loss diverged from the per-sample reference"
+    );
+    assert_fast_close(case, &[acc_fast], &[acc_ref]);
+    for (path, tier, seconds, acc) in [
+        ("per_sample", "bit_exact", secs_ref, acc_ref),
+        ("batched", "bit_exact", secs_exact, acc_exact),
+        ("batched", "fast", secs_fast, acc_fast),
+    ] {
+        out.push(Measurement {
+            case,
+            path,
+            tier,
+            samples: data.len(),
+            passes: reps,
+            seconds,
+            checksum: acc.to_bits(),
+        });
     }
 }
 
@@ -313,70 +377,27 @@ fn main() {
     );
 
     // Oracle-cell loss: repeated test-set evaluations on a fixed model.
-    {
-        let reps = passes * 4;
-        let mut ws_exact = fedval_models::Workspace::bit_exact();
-        let mut ws_fast = fedval_models::Workspace::new().with_tier(DeterminismTier::Fast);
-        let mut secs_exact = f64::INFINITY;
-        let mut secs_fast = f64::INFINITY;
-        let mut secs_ref = f64::INFINITY;
-        let mut acc_exact = 0.0;
-        let mut acc_fast = 0.0;
-        let mut acc_ref = 0.0;
-        for _ in 0..REPS {
-            let t0 = Instant::now();
-            acc_exact = 0.0;
-            for _ in 0..reps {
-                acc_exact += mlp.loss_with(&data, &mut ws_exact);
-            }
-            secs_exact = secs_exact.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            acc_fast = 0.0;
-            for _ in 0..reps {
-                acc_fast += mlp.loss_with(&data, &mut ws_fast);
-            }
-            secs_fast = secs_fast.min(t0.elapsed().as_secs_f64());
-            let t0 = Instant::now();
-            acc_ref = 0.0;
-            for _ in 0..reps {
-                acc_ref += mlp.loss_per_sample(&data);
-            }
-            secs_ref = secs_ref.min(t0.elapsed().as_secs_f64());
-        }
-        assert_eq!(
-            acc_ref.to_bits(),
-            acc_exact.to_bits(),
-            "mlp_cell_loss: bit-exact batched loss diverged from the per-sample reference"
-        );
-        assert_fast_close("mlp_cell_loss", &[acc_fast], &[acc_ref]);
-        measurements.push(Measurement {
-            case: "mlp_cell_loss",
-            path: "per_sample",
-            tier: "bit_exact",
-            samples: n,
-            passes: reps,
-            seconds: secs_ref,
-            checksum: acc_ref.to_bits(),
-        });
-        measurements.push(Measurement {
-            case: "mlp_cell_loss",
-            path: "batched",
-            tier: "bit_exact",
-            samples: n,
-            passes: reps,
-            seconds: secs_exact,
-            checksum: acc_exact.to_bits(),
-        });
-        measurements.push(Measurement {
-            case: "mlp_cell_loss",
-            path: "batched",
-            tier: "fast",
-            samples: n,
-            passes: reps,
-            seconds: secs_fast,
-            checksum: acc_fast.to_bits(),
-        });
-    }
+    push_loss_case(
+        &mut measurements,
+        "mlp_cell_loss",
+        &mlp,
+        Mlp::loss_per_sample,
+        &data,
+        passes * 4,
+    );
+
+    // The benchmark's cell: a logistic model over perfbench's world
+    // (d=60, C=10, 160 test rows), so every cell's logits are one narrow
+    // 160×60×10 BitExact GEMM.
+    let cell_test = synthetic(160, 60, 10, 3);
+    push_loss_case(
+        &mut measurements,
+        "logistic_cell_loss",
+        &LogisticRegression::new(60, 10, 0.01, 7),
+        LogisticRegression::loss_per_sample,
+        &cell_test,
+        passes * 100,
+    );
 
     // Report.
     let mode = if smoke { "smoke" } else { "full" };
@@ -390,12 +411,12 @@ fn main() {
         fedval_linalg::cpu::kernel_isa(DeterminismTier::Fast)
     );
     println!(
-        "{:>16}  {:>12}  {:>9}  {:>10}  {:>10}  {:>14}",
+        "{:>18}  {:>12}  {:>9}  {:>10}  {:>10}  {:>14}",
         "case", "path", "tier", "samples", "seconds", "samples/sec"
     );
     for m in &measurements {
         println!(
-            "{:>16}  {:>12}  {:>9}  {:>10}  {:>10.4}  {:>14.0}",
+            "{:>18}  {:>12}  {:>9}  {:>10}  {:>10.4}  {:>14.0}",
             m.case,
             m.path,
             m.tier,

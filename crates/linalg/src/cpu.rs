@@ -80,7 +80,10 @@ impl std::fmt::Display for KernelIsa {
 ///
 /// * `BitExact` picks the widest **non-contracting** instantiation:
 ///   AVX2 when available, otherwise scalar. Lane width cannot change
-///   bit-exact results (each lane is a different output element).
+///   bit-exact results (each lane is a different output element). Under
+///   AVX2 a narrow `A · Bᵀ` (`n ≤ 12`) runs the register-tiled
+///   `gemm_nt_narrow_avx2` instead of the panel kernel: still one
+///   multiply-then-add chain per element from `+0.0`, so the same bits.
 /// * `Fast` picks the widest **FMA** instantiation: AVX-512+FMA, then
 ///   AVX2+FMA. Without runtime FMA support it falls back to the
 ///   bit-exact choice, so `Fast` never runs a slow unfused `mul_add`.

@@ -27,7 +27,13 @@
 //! * **register blocking** — the k (or sample) loop is unrolled eight
 //!   wide so each output element is loaded/stored once per eight
 //!   contributions, with the adds written as one left-to-right chain
-//!   (`((c + p₀) + p₁) + p₂ …`), i.e. the same reduction order;
+//!   (`((c + p₀) + p₁) + p₂ …`), i.e. the same reduction order. A
+//!   narrow `A · Bᵀ` (`n ≤ 12`, e.g. a 10-class logits product) goes
+//!   further on AVX2: a 4 × 12 tile of outputs stays in registers for the
+//!   whole k sweep and touches memory once. That cannot change the bits
+//!   either: each output element is still one accumulator of its own,
+//!   starting at `+0.0`, updated by a separately rounded multiply then
+//!   an add (no contraction) in ascending k;
 //! * **vectorization across output elements** — the inner loops run
 //!   over a contiguous span of *independent* outputs, which the
 //!   compiler turns into SIMD; on x86-64 each kernel also has an
@@ -201,7 +207,14 @@ fn accumulate_rows(
 /// `packed[kk][jj] = b[j0 + jj][kk]` — and reused across all `m` rows
 /// of `a`, turning the computation into the vectorizable i-k-j nest of
 /// [`gemm_nn_into`]. The packing is a pure copy; `c[i][j]` is still one
-/// in-order sum over `k`.
+/// in-order sum over `k`. With AVX2, a narrow output (`n ≤ 12`, e.g. a
+/// classifier's logits) instead runs the register-tiled
+/// `gemm_nt_narrow_avx2`, with the same bits.
+///
+/// # Panics
+///
+/// If `a`, `b` or `c` is shorter than its shape says (in every build
+/// profile: the narrow kernel reads through raw pointers).
 pub fn gemm_nt_into(
     a: &[f64],
     b: &[f64],
@@ -211,13 +224,25 @@ pub fn gemm_nt_into(
     n: usize,
     scratch: &mut Scratch,
 ) {
+    let holds =
+        |len: usize, rows: usize, cols: usize| rows.checked_mul(cols).is_some_and(|e| len >= e);
+    assert!(holds(a.len(), m, k), "gemm_nt: a is shorter than {m}×{k}");
+    assert!(holds(b.len(), n, k), "gemm_nt: b is shorter than {n}×{k}");
+    assert!(holds(c.len(), m, n), "gemm_nt: c is shorter than {m}×{n}");
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(c.len(), m * n);
     #[cfg(target_arch = "x86_64")]
     if crate::cpu::features().avx2 {
-        // SAFETY: the feature was detected at runtime (cached probe).
-        unsafe { gemm_nt_avx2(a, b, c, m, k, n, scratch) };
+        // SAFETY: the feature was detected at runtime (cached probe),
+        // and the lengths were checked above.
+        unsafe {
+            if (1..=NARROW_NR).contains(&n) {
+                gemm_nt_narrow_avx2(a, b, c, m, k, n, scratch);
+            } else {
+                gemm_nt_avx2(a, b, c, m, k, n, scratch);
+            }
+        }
         return;
     }
     gemm_nt_impl(a, b, c, m, k, n, scratch);
@@ -236,6 +261,85 @@ unsafe fn gemm_nt_avx2(
     scratch: &mut Scratch,
 ) {
     gemm_nt_impl(a, b, c, m, k, n, scratch);
+}
+
+/// Widest output the register-tiled [`gemm_nt_narrow_avx2`] serves: three
+/// 4-lane registers per output row.
+#[cfg(target_arch = "x86_64")]
+const NARROW_NR: usize = 12;
+
+/// Register-tiled AVX2 kernel for a narrow `C = A · Bᵀ` (`n ≤ 12`).
+///
+/// `B` is packed transposed into `k × 12` rows, zero-padded beyond column
+/// `n` ([`pack_bt_small`]). A tile of four rows of `C` lives in twelve
+/// registers for the whole `k` sweep: per step, each row's `a` value is
+/// broadcast, multiplied by the packed `B` row, and added to the
+/// accumulator. Each element is thus one accumulator starting at `+0.0`,
+/// updated with a separately rounded multiply and then an add, `kk`
+/// ascending — the chain the panel kernel computes, so the bits are the
+/// same. The padded lanes are computed and never stored.
+///
+/// # Safety
+///
+/// The CPU supports AVX2, `1 ≤ n ≤ 12`, `a.len() ≥ m·k`, `b.len() ≥ n·k`
+/// and `c.len() ≥ m·n`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn gemm_nt_narrow_avx2(
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    m: usize,
+    k: usize,
+    n: usize,
+    scratch: &mut Scratch,
+) {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_broadcast_sd, _mm256_loadu_pd, _mm256_mul_pd, _mm256_setzero_pd,
+    };
+    debug_assert!((1..=NARROW_NR).contains(&n));
+    pack_bt_small(b, k, n, NARROW_NR, scratch);
+    // Every pointer read below is in bounds: `a` rows `i < m` at offsets
+    // `kk < k` (a.len() ≥ m·k), packed rows `kk < k` of 12 (the packing
+    // grew the buffer to ≥ k·12).
+    let bt = scratch.packed.as_ptr();
+    let mut i = 0;
+    while i < m {
+        // A short last tile repeats row m − 1; the repeats are not stored.
+        let rows = [0, 1, 2, 3].map(|r| a.as_ptr().add((i + r).min(m - 1) * k));
+        let mut acc = [[_mm256_setzero_pd(); 3]; 4];
+        for kk in 0..k {
+            let brow = bt.add(kk * NARROW_NR);
+            let bv = [
+                _mm256_loadu_pd(brow),
+                _mm256_loadu_pd(brow.add(4)),
+                _mm256_loadu_pd(brow.add(8)),
+            ];
+            for (acc_r, row) in acc.iter_mut().zip(&rows) {
+                let x = _mm256_broadcast_sd(&*row.add(kk));
+                for (s, &bq) in acc_r.iter_mut().zip(&bv) {
+                    *s = _mm256_add_pd(*s, _mm256_mul_pd(x, bq));
+                }
+            }
+        }
+        for (r, acc_r) in acc.iter().enumerate().take(m - i) {
+            store_narrow_row(acc_r, &mut c[(i + r) * n..(i + r + 1) * n]);
+        }
+        i += 4;
+    }
+}
+
+/// Writes the first `c_row.len()` lanes of one row of
+/// [`gemm_nt_narrow_avx2`] accumulators; the padded lanes are dropped.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn store_narrow_row(acc: &[std::arch::x86_64::__m256d; 3], c_row: &mut [f64]) {
+    let mut out = [0.0f64; NARROW_NR];
+    for (q, &v) in acc.iter().enumerate() {
+        std::arch::x86_64::_mm256_storeu_pd(out.as_mut_ptr().add(4 * q), v);
+    }
+    c_row.copy_from_slice(&out[..c_row.len()]);
 }
 
 #[inline(always)]
@@ -660,7 +764,8 @@ fn gemm_small_n_fast<const NR: usize>(
 }
 
 /// Packs `b` (`n × k` row-major) transposed into `scratch` as `k × NR`
-/// with zero padding, the layout [`gemm_small_n_fast`] consumes.
+/// with zero padding, the layout [`gemm_small_n_fast`] and the BitExact
+/// narrow kernel consume.
 #[inline(always)]
 fn pack_bt_small(b: &[f64], k: usize, n: usize, nr: usize, scratch: &mut Scratch) {
     if scratch.packed.len() < k * nr {
@@ -977,8 +1082,6 @@ unsafe fn gemm_tn_fast_avx512(a: &[f64], b: &[f64], c: &mut [f64], l: usize, m: 
 /// tested against (bit-for-bit, see `tests/properties.rs`). Retained as
 /// plain per-element loops on purpose — slow, obviously correct.
 pub mod reference {
-    use crate::vector;
-
     /// `C = A · B`, per element one in-order dot over `k`.
     pub fn gemm_nn(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
         for i in 0..m {
@@ -992,11 +1095,17 @@ pub mod reference {
         }
     }
 
-    /// `C = A · Bᵀ`, per element one in-order dot over `k`.
+    /// `C = A · Bᵀ`, per element one in-order dot over `k` from `+0.0`
+    /// (not `vector::dot`: an iterator `sum` starts from `−0.0`, so an
+    /// empty or all-`−0.0` dot would differ from every kernel in sign).
     pub fn gemm_nt(a: &[f64], b: &[f64], c: &mut [f64], m: usize, k: usize, n: usize) {
         for i in 0..m {
             for j in 0..n {
-                c[i * n + j] = vector::dot(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k]);
+                let mut acc = 0.0;
+                for kk in 0..k {
+                    acc += a[i * k + kk] * b[j * k + kk];
+                }
+                c[i * n + j] = acc;
             }
         }
     }
@@ -1050,6 +1159,132 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "({m},{k},{n})");
             }
         }
+    }
+
+    /// Equal bits, except that any NaN equals any NaN: Rust leaves the
+    /// sign and payload of a NaN result unspecified (an add of two NaNs
+    /// may return either), so only NaN-ness is part of the contract.
+    fn same_bits(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// `fill` with IEEE edge values mixed in: signed zeros, subnormals,
+    /// infinities and NaN, sparse enough that most outputs stay finite.
+    fn fill_edgy(seed: u64, len: usize) -> Vec<f64> {
+        const EDGES: [f64; 8] = [
+            0.0,
+            -0.0,
+            f64::MIN_POSITIVE / 8.0,
+            -f64::from_bits(1),
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -0.0,
+        ];
+        let mut v = fill(seed, len);
+        for (i, x) in v.iter_mut().enumerate() {
+            if (i as u64 * 7 + seed).is_multiple_of(23) {
+                *x = EDGES[(i / 23 + seed as usize) % EDGES.len()];
+            }
+        }
+        v
+    }
+
+    #[test]
+    fn nt_kernels_agree_bitwise_on_edge_values_and_shapes() {
+        let mut scratch = Scratch::new();
+        for &n in &[1, 3, 4, 5, 8, 11, 12, 13] {
+            for &m in &[1, 3, 4, 5, 7, 160] {
+                for &k in &[0, 1, 7, 8, 9, 60] {
+                    let seed = (m * 1000 + k * 10 + n) as u64;
+                    // Plain values, edge values, and rows whose every
+                    // product is −0.0 (the sign of an all-zero sum).
+                    let b_pos: Vec<f64> = fill(seed + 2, n * k).iter().map(|x| x.abs()).collect();
+                    let inputs = [
+                        (fill(seed, m * k), fill(seed + 1, n * k)),
+                        (fill_edgy(seed, m * k), fill_edgy(seed + 1, n * k)),
+                        (vec![-0.0; m * k], b_pos),
+                    ];
+                    for (case, (a, b)) in inputs.iter().enumerate() {
+                        let garbage = fill_edgy(seed + 3, m * n);
+                        let mut want = garbage.clone();
+                        reference::gemm_nt(a, b, &mut want, m, k, n);
+                        let mut outs = Vec::new();
+                        let mut portable = garbage.clone();
+                        gemm_nt_impl(a, b, &mut portable, m, k, n, &mut scratch);
+                        outs.push(("portable", portable));
+                        #[cfg(target_arch = "x86_64")]
+                        if crate::cpu::features().avx2 {
+                            let mut panel = garbage.clone();
+                            // SAFETY: AVX2 detected; slices sized exactly.
+                            unsafe { gemm_nt_avx2(a, b, &mut panel, m, k, n, &mut scratch) };
+                            outs.push(("avx2 panel", panel));
+                            if n <= NARROW_NR {
+                                let mut narrow = garbage.clone();
+                                // SAFETY: as above, and 1 ≤ n ≤ 12.
+                                unsafe {
+                                    gemm_nt_narrow_avx2(a, b, &mut narrow, m, k, n, &mut scratch)
+                                };
+                                outs.push(("avx2 narrow", narrow));
+                            }
+                        }
+                        let mut dispatched = garbage.clone();
+                        gemm_nt_into(a, b, &mut dispatched, m, k, n, &mut scratch);
+                        outs.push(("gemm_nt_into", dispatched));
+                        for (name, got) in &outs {
+                            for (e, (&x, &y)) in got.iter().zip(&want).enumerate() {
+                                assert!(
+                                    same_bits(x, y),
+                                    "{name} ({m},{k},{n}) case {case} at {e}: \
+                                     {x:e} ({:#x}) vs reference {y:e} ({:#x})",
+                                    x.to_bits(),
+                                    y.to_bits()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn nt_reference_sums_start_from_positive_zero() {
+        let mut c = [f64::NAN; 2];
+        reference::gemm_nt(&[], &[], &mut c, 2, 0, 1);
+        assert!(c.iter().all(|x| x.to_bits() == 0), "{c:?}");
+        reference::gemm_nt(&[-0.0, -0.0], &[1.0, 2.0], &mut c[..1], 1, 2, 1);
+        assert_eq!(c[0].to_bits(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_nt: a is shorter")]
+    fn nt_rejects_a_short_operand_in_every_profile() {
+        let mut c = vec![0.0; 4 * 10];
+        gemm_nt_into(
+            &[1.0; 4 * 60 - 1],
+            &[1.0; 10 * 60],
+            &mut c,
+            4,
+            60,
+            10,
+            &mut Scratch::new(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "gemm_nt: c is shorter")]
+    fn nt_rejects_a_short_output_in_every_profile() {
+        let mut c = vec![0.0; 4 * 10 - 1];
+        gemm_nt_into(
+            &[1.0; 4 * 60],
+            &[1.0; 10 * 60],
+            &mut c,
+            4,
+            60,
+            10,
+            &mut Scratch::new(),
+        );
     }
 
     #[test]

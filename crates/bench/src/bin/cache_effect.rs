@@ -27,11 +27,12 @@
 //! (exit ≠ 0) if the in-process warm speedup falls below
 //! [`MIN_WARM_SPEEDUP`] — the acceptance gate for the cache tier.
 
-use fedval_bench::{scan_num, scan_str, JsonWriter};
+use fedval_bench::smoke::{self, value_checksum, SmokeArgs};
 use fedval_cache::CellCache;
+use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 use fedval_runtime::{Pool, PoolHandle, SchedPolicy};
 use fedval_service::job::{JobManager, JobSpec, JobStatus};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::time::Instant;
 
 /// Required cold ÷ warm ratio of in-process repeat-job latency.
@@ -59,24 +60,6 @@ fn manager_with_dir(dir: &Path) -> JobManager {
         PoolHandle::owned(Pool::with_policy(2, SchedPolicy::FairShare)),
         CellCache::with_dir(fedval_cache::DEFAULT_MEM_BUDGET_BYTES, dir),
     )
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("fedval-cache-effect-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Bitwise checksum of a value vector (order-sensitive XOR-rotate) —
-/// enough to assert two runs produced identical bytes across process
-/// boundaries.
-fn value_checksum(values: &[f64]) -> u64 {
-    let mut acc = 0u64;
-    for v in values {
-        acc = acc.rotate_left(7) ^ v.to_bits();
-    }
-    acc
 }
 
 struct RunOutcome {
@@ -156,22 +139,15 @@ fn spawn_child(dir: &Path) -> (f64, u64, u64, u64, String) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--child") {
-        let dir = args
-            .iter()
-            .position(|a| a == "--dir")
-            .and_then(|i| args.get(i + 1))
-            .expect("--child requires --dir");
-        run_child(Path::new(dir));
+    if smoke::has_flag(&args, "--child") {
+        let dir = smoke::flag_value(&args, "--dir").expect("--child requires --dir");
+        run_child(Path::new(&dir));
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "target/BENCH_cache.json".to_string());
-    let mode = if smoke { "smoke" } else { "full" };
+    let SmokeArgs {
+        smoke,
+        mode,
+        out_path,
+    } = SmokeArgs::parse(&args, "target/BENCH_cache.json");
     let (cold_reps, warm_reps) = if smoke { (1, 3) } else { (3, 5) };
 
     println!("== cache_effect ({mode}): repeat-valuation latency, cold vs warm ==");
@@ -184,7 +160,7 @@ fn main() {
         let mut warm_hits = 0u64;
         let mut cold_cells = 0u64;
         for rep in 0..cold_reps {
-            let dir = tmpdir(&format!("inproc-{method}-{rep}"));
+            let dir = smoke::tmpdir("cache-effect", &format!("inproc-{method}-{rep}"));
             let manager = manager_with_dir(&dir);
             let cold = run_once(&manager, method);
             assert!(!cold.world_reused, "first job must train");
@@ -228,7 +204,7 @@ fn main() {
     // The warm child rehydrates the cold child's persisted trace (the
     // in-process memo dies, the trace file doesn't) and loads every
     // cell from its spill.
-    let dir = tmpdir("crossproc");
+    let dir = smoke::tmpdir("cache-effect", "crossproc");
     let t0 = Instant::now();
     let (cross_cold_ms, cross_cold_cells, _, cross_cold_warm, cold_sum) = spawn_child(&dir);
     let (cross_warm_ms, cross_warm_cells, _, disk_warm_cells, warm_sum) = spawn_child(&dir);

@@ -40,8 +40,9 @@
 //! failed assertion. `--serve-bin PATH` points at `fedval_serve` when
 //! it is not a sibling of this binary.
 
-use fedval_bench::{scan_num, scan_str, JsonWriter};
+use fedval_bench::smoke::{self, flag_value, has_flag, value_checksum};
 use fedval_cache::CellCache;
+use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 use fedval_runtime::{Pool, PoolHandle, SchedPolicy};
 use fedval_service::job::{JobManager, JobSpec, JobStatus};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -91,22 +92,6 @@ fn spec_by_name(name: &str) -> JobSpec {
         "train" => train_spec(),
         other => panic!("unknown spec {other:?}"),
     }
-}
-
-/// Bitwise checksum of a value vector (order-sensitive XOR-rotate) —
-/// enough to assert bit-identity across process boundaries.
-fn value_checksum(values: &[f64]) -> u64 {
-    let mut acc = 0u64;
-    for v in values {
-        acc = acc.rotate_left(7) ^ v.to_bits();
-    }
-    acc
-}
-
-fn tmpdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("fedval-chaos-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 // ---------------------------------------------------------------------------
@@ -241,7 +226,7 @@ struct Baseline {
 /// One clean run per spec in a throwaway dir: the bit-identity
 /// reference and the wall-clock yardstick kill delays scale from.
 fn baseline(spec_name: &str) -> Baseline {
-    let dir = tmpdir(&format!("baseline-{spec_name}"));
+    let dir = smoke::tmpdir("chaos", &format!("baseline-{spec_name}"));
     let t0 = Instant::now();
     let clean = run_worker_to_end(&dir, spec_name, 1);
     let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -268,7 +253,7 @@ fn kill_scenario(
     kill_fraction: f64,
     kills: usize,
 ) -> Result<(), String> {
-    let dir = tmpdir(name);
+    let dir = smoke::tmpdir("chaos", name);
     let delay = Duration::from_secs_f64(base.clean_ms * kill_fraction / 1e3);
     let mut landed = 0;
     for _ in 0..kills {
@@ -296,7 +281,7 @@ fn kill_scenario(
 }
 
 fn concurrent_writers(base: &Baseline) -> Result<(), String> {
-    let dir = tmpdir("concurrent");
+    let dir = smoke::tmpdir("chaos", "concurrent");
     let children: Vec<Child> = (0..2)
         .map(|_| {
             worker_command(&dir, "spill", 1)
@@ -339,7 +324,7 @@ fn concurrent_writers(base: &Baseline) -> Result<(), String> {
 }
 
 fn poisoned_segments(base: &Baseline) -> Result<(), String> {
-    let dir = tmpdir("poison");
+    let dir = smoke::tmpdir("chaos", "poison");
     let clean = run_worker_to_end(&dir, "spill", 1);
     if clean.checksum != base.checksum {
         return Err("poisoned_segments: seeding run diverged from baseline".into());
@@ -425,7 +410,7 @@ fn poisoned_segments(base: &Baseline) -> Result<(), String> {
 fn unwritable_dir(base: &Baseline) -> Result<(), String> {
     // The configured path's parent is a regular file — mkdir can never
     // succeed, which also models a full disk at directory creation.
-    let parent = tmpdir("unwritable");
+    let parent = smoke::tmpdir("chaos", "unwritable");
     std::fs::write(&parent, b"not a directory").expect("plant file");
     let dir = parent.join("cache");
     let result = run_worker_to_end(&dir, "spill", 1);
@@ -481,7 +466,7 @@ fn sigterm_drain(base: &Baseline, serve_bin: &Path) -> Result<(), String> {
             serve_bin.display()
         ));
     }
-    let dir = tmpdir("sigterm");
+    let dir = smoke::tmpdir("chaos", "sigterm");
     let mut child = Command::new(serve_bin)
         .args(["--addr", "127.0.0.1:0", "--grace-ms", "120000"])
         .env("FEDVAL_CACHE_DIR", &dir)
@@ -574,20 +559,13 @@ fn sigterm_drain(base: &Baseline, serve_bin: &Path) -> Result<(), String> {
 
 // ---------------------------------------------------------------------------
 
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
+    if has_flag(&args, "--help") || has_flag(&args, "-h") {
         println!("usage: chaos [--smoke | --sigterm-smoke] [--serve-bin PATH]");
         return;
     }
-    if args.iter().any(|a| a == "--worker") {
+    if has_flag(&args, "--worker") {
         let dir = flag_value(&args, "--dir").expect("--worker requires --dir");
         let spec = flag_value(&args, "--spec").unwrap_or_else(|| "spill".into());
         let mem_mb: usize = flag_value(&args, "--mem-mb")
@@ -595,8 +573,8 @@ fn main() {
             .unwrap_or(1);
         run_worker(Path::new(&dir), &spec, mem_mb);
     }
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let sigterm_smoke = args.iter().any(|a| a == "--sigterm-smoke");
+    let smoke = has_flag(&args, "--smoke");
+    let sigterm_smoke = has_flag(&args, "--sigterm-smoke");
     let serve_bin = flag_value(&args, "--serve-bin")
         .map(PathBuf::from)
         .unwrap_or_else(|| {

@@ -27,7 +27,8 @@
 //! scenarios — the acceptance gate for the method the paper proposes.
 
 use comfedsv::experiments::Scenario;
-use fedval_bench::{scan_num, scan_str, JsonWriter};
+use fedval_bench::smoke::SmokeArgs;
+use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 use fedval_metrics::{detection_auc, precision_at_k};
 use fedval_shapley::ValuationSession;
 use std::time::Instant;
@@ -70,14 +71,11 @@ fn fmt_opt(v: Option<f64>) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "target/BENCH_robustness.json".to_string());
-    let mode = if smoke { "smoke" } else { "full" };
+    let SmokeArgs {
+        smoke,
+        mode,
+        out_path,
+    } = SmokeArgs::parse(&args, "target/BENCH_robustness.json");
 
     let scenarios: Vec<Scenario> = Scenario::catalog()
         .into_iter()

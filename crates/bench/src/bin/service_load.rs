@@ -24,7 +24,8 @@
 //! below [`MIN_INTERACTIVE_SPEEDUP`] — the acceptance gate for this
 //! PR's scheduler.
 
-use fedval_bench::JsonWriter;
+use fedval_bench::smoke::SmokeArgs;
+use fedval_jsonio::JsonWriter;
 use fedval_runtime::{JobClass, Pool, PoolHandle, SchedPolicy};
 use fedval_service::job::{Job, JobManager, JobSpec, JobStatus};
 use std::sync::Arc;
@@ -167,14 +168,11 @@ fn measure_policy(policy: SchedPolicy, probes: usize) -> Vec<ClassStats> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .unwrap_or_else(|| "target/BENCH_service_latency.json".to_string());
-    let mode = if smoke { "smoke" } else { "full" };
+    let SmokeArgs {
+        smoke,
+        mode,
+        out_path,
+    } = SmokeArgs::parse(&args, "target/BENCH_service_latency.json");
     let probes = if smoke { SMOKE_PROBES } else { FULL_PROBES };
 
     println!("== service_load ({mode}): probe latency behind a batch flood, fifo vs fair ==");

@@ -2,8 +2,11 @@
 //!
 //! Every figure in the paper's evaluation has a binary here (`fig1` …
 //! `fig8`, `example1`) that prints the corresponding series as aligned
-//! text and CSV. Criterion benches (`valuation`, `completion`, `training`)
-//! measure the kernels that dominate each experiment.
+//! text and CSV. The gated smoke binaries (`cell_throughput`,
+//! `robustness`, `service_load`, `cache_effect`, `chaos`) measure the
+//! kernels, detection quality, scheduling, caching and crash safety
+//! behind each experiment; their shared command-line and checksum
+//! helpers live in [`mod@smoke`].
 //!
 //! Set `FEDVAL_PROFILE=quick|default|paper` to trade fidelity for runtime;
 //! see [`mod@profile`].
@@ -15,8 +18,11 @@
 //! run) writes a JSON object to `target/BENCH_cell_throughput.json` by
 //! default; the committed repo-root `BENCH_cell_throughput.json` is the
 //! reference smoke run for perf-trajectory tracking, refreshed
-//! deliberately via `--out BENCH_cell_throughput.json` (a `--smoke` run
-//! also prints current ÷ committed throughput ratios per row):
+//! deliberately via `--out BENCH_cell_throughput.json`. A `--smoke` run
+//! fails (exit ≠ 0) if the same-run `speedup` of `mlp_train`,
+//! `logistic_train`, `mlp_cell_loss` or `logistic_cell_loss` falls
+//! below 1.2× (`cnn_train` is reported, not gated), and prints current ÷
+//! committed throughput ratios per row for information only:
 //!
 //! ```json
 //! {
@@ -25,7 +31,8 @@
 //!   "pool_threads": 1,
 //!   "cases": [
 //!     {
-//!       "case": "mlp_train" | "logistic_train" | "cnn_train" | "mlp_cell_loss",
+//!       "case": "mlp_train" | "logistic_train" | "cnn_train" | "mlp_cell_loss"
+//!             | "logistic_cell_loss",
 //!       "path": "per_sample" | "batched",
 //!       "tier": "bit_exact" | "fast", // per_sample rows are always "bit_exact"
 //!       "samples": 320,            // examples per pass
@@ -184,14 +191,8 @@
 pub mod fairness_trials;
 pub mod profile;
 pub mod report;
-
-/// Flat-JSON field extraction (re-exported from `fedval_jsonio`, which
-/// also serves the `fedval_service` wire format).
-pub use fedval_jsonio::scan as jsonscan;
-/// Layout-controlled JSON writing (re-exported from `fedval_jsonio`).
-pub use fedval_jsonio::write as jsonwrite;
+pub mod smoke;
 
 pub use fairness_trials::{run_fairness_trials, FairnessTrialResult};
-pub use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 pub use profile::{profile, Profile};
 pub use report::{print_series, write_csv};

@@ -1,0 +1,93 @@
+//! Helpers shared by the gated smoke binaries (`cell_throughput`,
+//! `robustness`, `service_load`, `cache_effect`, `chaos`): flag
+//! parsing, the order-sensitive value checksum they compare runs by,
+//! and per-process scratch directories.
+
+use std::path::PathBuf;
+
+/// The value following `flag` in `args`, if both are present.
+pub fn flag_value(args: &[String], flag: &str) -> Option<String> {
+    args.iter()
+        .position(|a| a == flag)
+        .and_then(|i| args.get(i + 1))
+        .cloned()
+}
+
+/// `true` when `flag` appears anywhere in `args`.
+pub fn has_flag(args: &[String], flag: &str) -> bool {
+    args.iter().any(|a| a == flag)
+}
+
+/// The `--smoke` / `--out PATH` pair every baseline-writing bin takes.
+#[derive(Debug)]
+pub struct SmokeArgs {
+    /// `--smoke`: the CI-sized run, gated against the committed baseline.
+    pub smoke: bool,
+    /// `"smoke"` or `"full"`, as written into the JSON output.
+    pub mode: &'static str,
+    /// `--out PATH`, defaulting to `target/<baseline file name>` so the
+    /// committed repo-root baseline is only refreshed deliberately.
+    pub out_path: String,
+}
+
+impl SmokeArgs {
+    /// Parses `args`; `default_out` is the path used without `--out`.
+    pub fn parse(args: &[String], default_out: &str) -> Self {
+        let smoke = has_flag(args, "--smoke");
+        SmokeArgs {
+            smoke,
+            mode: if smoke { "smoke" } else { "full" },
+            out_path: flag_value(args, "--out").unwrap_or_else(|| default_out.to_string()),
+        }
+    }
+}
+
+/// Bitwise checksum of a value vector (order-sensitive XOR-rotate) —
+/// enough to assert two runs produced identical bits, also across
+/// process boundaries.
+pub fn value_checksum(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.to_bits())
+}
+
+/// An emptied per-process scratch path `$TMPDIR/fedval-<bin>-<tag>-<pid>`
+/// (not created: the cache creates its directory on first use).
+pub fn tmpdir(bin: &str, tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("fedval-{bin}-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn smoke_args_parse_flags_and_default_out() {
+        let parsed = SmokeArgs::parse(&args(&["--smoke"]), "target/B.json");
+        assert!(parsed.smoke);
+        assert_eq!(parsed.out_path, "target/B.json");
+        assert_eq!(parsed.mode, "smoke");
+
+        let parsed = SmokeArgs::parse(&args(&["--out", "B.json"]), "target/B.json");
+        assert!(!parsed.smoke);
+        assert_eq!(parsed.out_path, "B.json");
+        assert_eq!(parsed.mode, "full");
+
+        // A trailing flag with no value falls back to the default.
+        assert_eq!(flag_value(&args(&["--out"]), "--out"), None);
+    }
+
+    #[test]
+    fn value_checksum_is_order_sensitive() {
+        let a = value_checksum(&[1.0, 2.0]);
+        assert_eq!(a, value_checksum(&[1.0, 2.0]));
+        assert_ne!(a, value_checksum(&[2.0, 1.0]));
+        assert_ne!(value_checksum(&[0.0]), value_checksum(&[-0.0]));
+    }
+}

@@ -194,7 +194,7 @@ pub struct UtilityOracle<'a> {
     prototype: Box<dyn Model>,
     /// Scratch state for the serial single-cell fallback path.
     scratch: Mutex<CellScratch>,
-    /// `ℓ(w_t; D_c)` per round, computed once.
+    /// `ℓ(w_t; D_c)` per round, evaluated at `tier`.
     base_losses: Vec<f64>,
     /// The cell store: one compute-once slot per evaluated cell.
     cache: Arc<CellCache>,
@@ -228,16 +228,7 @@ impl<'a> UtilityOracle<'a> {
     pub fn new(trace: &'a TrainingTrace, prototype: &dyn Model, test_data: &'a Dataset) -> Self {
         let tier = DeterminismTier::default_tier();
         let mut oracle = Self::from_parts(trace, test_data, prototype, Vec::new(), tier);
-        let scratch = oracle.scratch.get_mut();
-        oracle.base_losses = trace
-            .rounds
-            .iter()
-            .map(|r| {
-                scratch.model.set_params(&r.global_params);
-                scratch.model.loss_with(test_data, &mut scratch.ws)
-            })
-            .collect();
-        *oracle.calls.get_mut() = trace.num_rounds() as u64;
+        oracle.evaluate_base_losses();
         oracle
     }
 
@@ -248,8 +239,11 @@ impl<'a> UtilityOracle<'a> {
     /// losses were already paid for and reported by the first job).
     ///
     /// `base_losses` must come from an oracle over the *same* trace,
-    /// model, and test set (the trace fingerprint hashes them, so a
-    /// mismatch would also change the cache identity).
+    /// model, and test set at the process-default tier, which is how
+    /// the service's world memo makes them (the trace fingerprint
+    /// hashes them, so a mismatch would also change the cache
+    /// identity). A later [`Self::set_tier`] to another tier
+    /// re-evaluates them.
     pub fn with_base_losses(
         trace: &'a TrainingTrace,
         prototype: &dyn Model,
@@ -313,15 +307,17 @@ impl<'a> UtilityOracle<'a> {
         self.parallelism.unwrap_or_else(|| self.pool.threads())
     }
 
-    /// Sets the numeric tier cell evaluations run at (builder style).
+    /// Sets the numeric tier every loss evaluation runs at (builder
+    /// style), the per-round base losses included: a change of tier
+    /// re-evaluates them (counted as `T` loss evaluations), so a value
+    /// depends on the tier it was pinned to and never on
+    /// `FEDVAL_TIER`. Floating-point rounding does not cancel out of
+    /// `ℓ(w_t) − ℓ(w̄_S)`, so a base loss from another tier would move
+    /// the low bits of every utility.
     ///
     /// Call this before querying or batch-evaluating any cells: the
     /// cell store caches values at whatever tier computed them, and
-    /// the per-round base losses are evaluated at construction (at the
-    /// process-default tier). The latter is harmless for cross-tier
-    /// comparisons — every utility is a difference against the *same*
-    /// base loss, so the base-loss tier cancels out of utility deltas —
-    /// but mixed-tier cell caches are not meaningful; use
+    /// mixed-tier cell caches are not meaningful; use
     /// [`Self::isolated_with_tier`] for a fresh-cache oracle instead.
     pub fn with_tier(mut self, tier: DeterminismTier) -> Self {
         self.set_tier(tier);
@@ -330,12 +326,39 @@ impl<'a> UtilityOracle<'a> {
 
     /// See [`Self::with_tier`].
     pub fn set_tier(&mut self, tier: DeterminismTier) {
+        let retier = tier != self.tier;
         self.tier = tier;
-        self.scratch.lock().ws.set_tier(tier);
+        self.scratch.get_mut().ws.set_tier(tier);
+        if retier {
+            self.evaluate_base_losses();
+            // The fingerprint hashes the base losses; an attached
+            // shared cache keys this oracle's cells by it.
+            if self.key_trace != Fingerprint::from_bits(0) {
+                self.key_trace = self.fingerprint();
+            }
+        }
         // The cache keys on the tier, so a retiered oracle reads and
         // writes a disjoint cell namespace — but a disk-backed cache may
         // hold segments for the new tier that deserve loading.
         self.disk_warm += self.cache.attach(self.key_trace, tier.id());
+    }
+
+    /// Evaluates `ℓ(w_t; D_c)` for every round on the serial scratch,
+    /// at this oracle's tier, counts the `T` evaluations, and drops the
+    /// memoized fingerprint, which hashes the base losses.
+    fn evaluate_base_losses(&mut self) {
+        let scratch = self.scratch.get_mut();
+        self.base_losses = self
+            .trace
+            .rounds
+            .iter()
+            .map(|r| {
+                scratch.model.set_params(&r.global_params);
+                scratch.model.loss_with(self.test_data, &mut scratch.ws)
+            })
+            .collect();
+        *self.calls.get_mut() += self.trace.num_rounds() as u64;
+        self.fingerprint = OnceLock::new();
     }
 
     /// Attaches this oracle to the process-shared cell cache (builder
@@ -426,16 +449,16 @@ impl<'a> UtilityOracle<'a> {
         self.isolated_with_tier(self.tier)
     }
 
-    /// [`Self::isolated`] with the clone's cell evaluations pinned to
-    /// `tier` — the fresh store never mixes tiers. The copied base
-    /// losses keep their original values (see [`Self::with_tier`] for
-    /// why that cancels out of utility comparisons). The clone gets a
-    /// private store even when this oracle is attached to a shared
-    /// cache: an isolated oracle exists to measure a method's full
-    /// standalone cost, which drafting behind the shared cache would
-    /// hide.
+    /// [`Self::isolated`] with the clone's evaluations pinned to
+    /// `tier` — the fresh store never mixes tiers. The base losses are
+    /// copied when `tier` is this oracle's tier and re-evaluated
+    /// (counted) at `tier` otherwise, as in [`Self::set_tier`]. The
+    /// clone gets a private store even when this oracle is attached to
+    /// a shared cache: an isolated oracle exists to measure a method's
+    /// full standalone cost, which drafting behind the shared cache
+    /// would hide.
     pub fn isolated_with_tier(&self, tier: DeterminismTier) -> UtilityOracle<'a> {
-        UtilityOracle {
+        let mut clone = UtilityOracle {
             fingerprint: self.fingerprint.clone(),
             pool: self.pool.clone(),
             parallelism: self.parallelism,
@@ -444,9 +467,11 @@ impl<'a> UtilityOracle<'a> {
                 self.test_data,
                 &*self.prototype,
                 self.base_losses.clone(),
-                tier,
+                self.tier,
             )
-        }
+        };
+        clone.set_tier(tier);
+        clone
     }
 
     /// The trace this oracle reads.
@@ -927,6 +952,74 @@ mod tests {
             "column reads must all hit the table"
         );
         assert_eq!(total, oracle.total_utility_parallel(s));
+    }
+
+    #[test]
+    fn base_losses_are_evaluated_at_the_oracle_tier() {
+        // Wide enough that the Fast kernels round differently from
+        // BitExact somewhere in the loss.
+        let data = |rows: usize, seed: usize| {
+            let f = Matrix::from_fn(rows, 24, |r, c| {
+                (((r + 1) * (c + 3) + seed) % 11) as f64 / 5.0 - 1.0
+            });
+            let labels: Vec<usize> = (0..rows).map(|r| (r * 3 + seed) % 5).collect();
+            Dataset::new(f, labels, 5).unwrap()
+        };
+        let clients: Vec<Dataset> = (0..4).map(|i| data(30, i)).collect();
+        let test = data(40, 9);
+        let proto = LogisticRegression::new(24, 5, 0.01, 3);
+        // Training pinned too, so the trace is the same under any
+        // `FEDVAL_TIER`.
+        let cfg = FlConfig::new(3, 2, 0.2, 1).with_tier(DeterminismTier::BitExact);
+        let trace = train_federated(&proto, &clients, &cfg);
+        let bits = |losses: &[f64]| losses.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+        for (tier, other) in [
+            (DeterminismTier::BitExact, DeterminismTier::Fast),
+            (DeterminismTier::Fast, DeterminismTier::BitExact),
+        ] {
+            let mut model = proto.clone_model();
+            let mut ws = Workspace::new().with_tier(tier);
+            let expect: Vec<f64> = trace
+                .rounds
+                .iter()
+                .map(|r| {
+                    model.set_params(&r.global_params);
+                    model.loss_with(&test, &mut ws)
+                })
+                .collect();
+            let pinned = UtilityOracle::new(&trace, &proto, &test).with_tier(tier);
+            assert_eq!(
+                bits(pinned.base_losses()),
+                bits(&expect),
+                "with_tier({tier:?})"
+            );
+            // Retiering a clone re-evaluates them too, and the clone's
+            // fingerprint (which hashes them) follows.
+            let retiered = UtilityOracle::new(&trace, &proto, &test)
+                .with_tier(other)
+                .isolated_with_tier(tier);
+            assert_eq!(
+                bits(retiered.base_losses()),
+                bits(&expect),
+                "isolated_with_tier({tier:?})"
+            );
+            assert_eq!(retiered.fingerprint(), pinned.fingerprint());
+
+            // Retiering after attaching a shared cache re-keys the
+            // oracle's cells by the new fingerprint, so it drafts behind
+            // an oracle pinned to `tier` from the start.
+            let cache = fedval_cache::CellCache::in_memory(usize::MAX);
+            let plan = full_plan(trace.num_rounds(), 4);
+            pinned
+                .with_shared_cache(Arc::clone(&cache))
+                .evaluate_plan(&plan);
+            let late = UtilityOracle::new(&trace, &proto, &test)
+                .with_tier(other)
+                .with_shared_cache(Arc::clone(&cache))
+                .with_tier(tier);
+            late.evaluate_plan(&plan);
+            assert_eq!(late.cell_hits(), plan.len() as u64, "{tier:?}");
+        }
     }
 
     #[test]

@@ -159,8 +159,8 @@ fn oracle_cells_match_per_sample_loss_reference() {
     // Every utility cell evaluated through the batched kernels equals
     // base_loss − per-sample loss of the aggregate, to the bit. The
     // oracle is pinned to BitExact (the per-sample reference loop is
-    // inherently bit-exact); the base-loss tier cancels out of both
-    // sides of the comparison.
+    // inherently bit-exact), and both sides subtract from the oracle's
+    // own base loss.
     let (clients, test) = six_client_world();
     let proto = LogisticRegression::new(3, 2, 0.01, 11);
     let trace = train_federated(&proto, &clients, &FlConfig::new(4, 3, 0.3, 5));

@@ -20,8 +20,7 @@
 //! live in a flat object (the one-object-per-line row format the
 //! writers emit, or a small request body) and that string values of
 //! interest don't contain escaped quotes. That contract is exactly what
-//! the writers in this workspace produce; `fedval_bench` re-exports
-//! both modules for the benchmark binaries.
+//! the writers in this workspace produce.
 
 pub mod scan;
 pub mod write;

@@ -125,19 +125,6 @@ impl MatrixCompleter for AlsConfig {
     }
 }
 
-/// Runs ALS on `problem`, returning the factors and the per-sweep objective
-/// trajectory (first entry = objective after initialization).
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `MatrixCompleter` impl: `config.complete(problem)`"
-)]
-pub fn solve_als(problem: &CompletionProblem, config: &AlsConfig) -> (Factors, Vec<f64>) {
-    match config.complete(problem) {
-        Ok(c) => (c.factors, c.objective_trace),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Small random init, scaled so initial predictions have the magnitude
 /// of the observed values.
 fn init_factors(problem: &CompletionProblem, config: &AlsConfig) -> Factors {

@@ -90,19 +90,6 @@ impl MatrixCompleter for CcdConfig {
     }
 }
 
-/// Runs CCD++ on `problem`, returning factors and the per-sweep objective
-/// trajectory (first entry = objective after initialization).
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `MatrixCompleter` impl: `config.complete(problem)`"
-)]
-pub fn solve_ccd(problem: &CompletionProblem, config: &CcdConfig) -> (Factors, Vec<f64>) {
-    match config.complete(problem) {
-        Ok(c) => (c.factors, c.objective_trace),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// The CCD++ iteration itself; configuration validity is the caller's
 /// responsibility ([`MatrixCompleter::complete`] checks it).
 fn run_ccd(

@@ -46,11 +46,3 @@ pub use completer::{Completion, CompletionError, MatrixCompleter, SolveHooks};
 pub use factors::Factors;
 pub use problem::CompletionProblem;
 pub use sgd::{SgdConfig, StepSchedule};
-
-// Deprecated free-function surface, kept for downstream compatibility.
-#[allow(deprecated)]
-pub use als::solve_als;
-#[allow(deprecated)]
-pub use ccd::solve_ccd;
-#[allow(deprecated)]
-pub use sgd::solve_sgd;

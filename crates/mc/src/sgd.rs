@@ -123,18 +123,6 @@ impl MatrixCompleter for SgdConfig {
     }
 }
 
-/// Runs SGD, returning factors and the objective after each epoch.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the `MatrixCompleter` impl: `config.complete(problem)`"
-)]
-pub fn solve_sgd(problem: &CompletionProblem, config: &SgdConfig) -> (Factors, Vec<f64>) {
-    match config.complete(problem) {
-        Ok(c) => (c.factors, c.objective_trace),
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// The SGD epochs themselves; configuration validity is the caller's
 /// responsibility ([`MatrixCompleter::complete`] checks it).
 fn run_sgd(

@@ -42,7 +42,10 @@ pub struct FedSv {
 }
 
 impl FedSv {
-    /// Exact per-round enumeration.
+    /// Exact per-round enumeration: per-round exact Shapley over the
+    /// selected cohort. Costs `Σ_t 2^{|I_t|}` utility evaluations —
+    /// fine for the paper's small experiments (`K = 3`), infeasible for
+    /// Fig. 7's `K = 50` (use [`FedSv::monte_carlo`]).
     pub fn exact() -> Self {
         FedSv { sampling: None }
     }
@@ -104,24 +107,6 @@ impl Valuator for FedSv {
     }
 }
 
-/// Exact FedSV: per-round exact Shapley over the selected cohort.
-///
-/// Cost: `Σ_t 2^{|I_t|}` utility evaluations (batched across worker
-/// threads) — fine for the paper's small experiments (`K = 3`), gated to
-/// cohorts of at most [`MAX_EXACT_CLIENTS`]
-/// clients, and infeasible for Fig. 7's `K = 50` (use the Monte-Carlo
-/// estimator).
-#[deprecated(
-    since = "0.2.0",
-    note = "use `FedSv::exact().run(oracle)` (or drive it as a `Valuator` through a `ValuationSession`)"
-)]
-pub fn fedsv(oracle: &UtilityOracle<'_>) -> Vec<f64> {
-    match try_fedsv(oracle, &mut RunContext::new()) {
-        Ok(values) => values,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Fallible exact FedSV (see [`FedSv::exact`]).
 fn try_fedsv(
     oracle: &UtilityOracle<'_>,
@@ -162,20 +147,6 @@ fn try_fedsv(
         }
     }
     Ok(values)
-}
-
-/// Monte-Carlo FedSV: within each round, the Shapley value over `I_t` is
-/// estimated as the average marginal contribution over sampled permutations
-/// of the cohort.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `FedSv::monte_carlo(config).run(oracle)` (or drive it as a `Valuator` through a `ValuationSession`)"
-)]
-pub fn fedsv_monte_carlo(oracle: &UtilityOracle<'_>, config: &FedSvConfig) -> Vec<f64> {
-    match try_fedsv_monte_carlo(oracle, config, &mut RunContext::new()) {
-        Ok((values, _)) => values,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 /// Fallible Monte-Carlo FedSV (see [`FedSv::monte_carlo`]); the second

@@ -23,8 +23,7 @@ use rand::Rng;
 use rand::SeedableRng;
 
 /// The group-testing valuation method (Jia et al.) as a
-/// [`Valuator`] strategy object; the former
-/// `GroupTestingConfig` name remains as a deprecated alias.
+/// [`Valuator`] strategy object.
 #[derive(Debug, Clone)]
 pub struct GroupTesting {
     /// Number of sampled coalitions `T` (Jia et al. need
@@ -33,10 +32,6 @@ pub struct GroupTesting {
     /// RNG seed.
     pub seed: u64,
 }
-
-/// Deprecated name of [`GroupTesting`].
-#[deprecated(since = "0.2.0", note = "renamed to `GroupTesting`")]
-pub type GroupTestingConfig = GroupTesting;
 
 impl GroupTesting {
     /// `T = ⌈c · N (ln N)²⌉` samples for a given constant.
@@ -100,18 +95,6 @@ impl Valuator for GroupTesting {
                 ..Diagnostics::default()
             },
         })
-    }
-}
-
-/// Estimates the whole-run Shapley value by group testing.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `GroupTesting::run` (or drive it as a `Valuator` through a `ValuationSession`)"
-)]
-pub fn group_testing_shapley(oracle: &UtilityOracle<'_>, config: &GroupTesting) -> Vec<f64> {
-    match config.run(oracle) {
-        Ok(values) => values,
-        Err(e) => panic!("{e}"),
     }
 }
 

@@ -85,14 +85,3 @@ pub use valuator::{Diagnostics, Progress, ProgressEvent, RunContext, ValuationRe
 // re-exported so session users need not depend on `fedval_runtime`
 // directly.
 pub use fedval_runtime::CancelToken;
-
-// Deprecated free-function/alias surface, kept for downstream
-// compatibility; see MIGRATION.md at the workspace root.
-#[allow(deprecated)]
-pub use fedsv::{fedsv, fedsv_monte_carlo};
-#[allow(deprecated)]
-pub use group_testing::{group_testing_shapley, GroupTestingConfig};
-#[allow(deprecated)]
-pub use pipeline::{comfedsv_pipeline, ground_truth_valuation, ComFedSvConfig};
-#[allow(deprecated)]
-pub use tmc::{tmc_shapley, TmcConfig};

@@ -95,8 +95,7 @@ impl CompletionSolver {
 /// observation, matrix completion, Definition-4 / equation-(12) values.
 ///
 /// This struct is both the configuration and the
-/// [`Valuator`] strategy object; the former
-/// `ComFedSvConfig` name remains as a deprecated alias.
+/// [`Valuator`] strategy object.
 #[derive(Debug, Clone)]
 pub struct ComFedSv {
     /// Completion rank `r` (Propositions 1–2 justify `O(log T)`).
@@ -112,10 +111,6 @@ pub struct ComFedSv {
     /// Seed for permutation sampling and solver initialization.
     pub seed: u64,
 }
-
-/// Deprecated name of [`ComFedSv`].
-#[deprecated(since = "0.2.0", note = "renamed to `ComFedSv`")]
-pub type ComFedSvConfig = ComFedSv;
 
 impl ComFedSv {
     /// Defaults for the paper's small experiments (exact subsets, rank 5).
@@ -442,32 +437,6 @@ pub struct ValuationOutput {
     pub objective_trace: Vec<f64>,
     /// Permutations used (empty for the exact path).
     pub permutations: Vec<Vec<usize>>,
-}
-
-/// Runs the ComFedSV pipeline against a recorded training run.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ComFedSv::run` (or drive it as a `Valuator` through a `ValuationSession`)"
-)]
-pub fn comfedsv_pipeline(oracle: &UtilityOracle<'_>, config: &ComFedSv) -> ValuationOutput {
-    match config.run(oracle) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The paper's ground-truth metric: ComFedSV computed from the *full*
-/// utility matrix (equation (14)), which reduces to the classical Shapley
-/// value of the summed utility `U(S) = Σ_t U_t(S)`.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `ExactShapley::run` (or drive it as a `Valuator` through a `ValuationSession`)"
-)]
-pub fn ground_truth_valuation(oracle: &UtilityOracle<'_>) -> Vec<f64> {
-    match ExactShapley.run(oracle) {
-        Ok(values) => values,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]

@@ -33,8 +33,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 /// The truncated-Monte-Carlo valuation method (Ghorbani & Zou) as a
-/// [`Valuator`] strategy object; the former
-/// `TmcConfig` name remains as a deprecated alias.
+/// [`Valuator`] strategy object.
 #[derive(Debug, Clone)]
 pub struct Tmc {
     /// Number of sampled permutations.
@@ -50,10 +49,6 @@ pub struct Tmc {
     /// RNG seed.
     pub seed: u64,
 }
-
-/// Deprecated name of [`Tmc`].
-#[deprecated(since = "0.2.0", note = "renamed to `Tmc`")]
-pub type TmcConfig = Tmc;
 
 impl Default for Tmc {
     fn default() -> Self {
@@ -137,18 +132,6 @@ impl Valuator for Tmc {
                 ..Diagnostics::default()
             },
         })
-    }
-}
-
-/// Truncated Monte-Carlo estimate of the whole-run Shapley value.
-#[deprecated(
-    since = "0.2.0",
-    note = "use `Tmc::run` (or drive it as a `Valuator` through a `ValuationSession`)"
-)]
-pub fn tmc_shapley(oracle: &UtilityOracle<'_>, config: &Tmc) -> TmcOutput {
-    match config.run(oracle) {
-        Ok(out) => out,
-        Err(e) => panic!("{e}"),
     }
 }
 

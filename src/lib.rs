@@ -42,8 +42,8 @@
 //! [`UtilityOracle`](fedval_fl::UtilityOracle) (batched utility
 //! evaluation) over [`MatrixCompleter`](fedval_mc::MatrixCompleter)
 //! (pluggable completion solver); failures are typed
-//! [`ValuationError`](fedval_shapley::ValuationError)s. See MIGRATION.md
-//! for the mapping from the old free functions.
+//! [`ValuationError`](fedval_shapley::ValuationError)s. MIGRATION.md
+//! maps each removed legacy name to its replacement.
 //!
 //! The [`prelude`] re-exports the types needed by typical users; the
 //! [`experiments`] module hosts the configured dataset/model pairings used
@@ -74,11 +74,5 @@ pub mod prelude {
         ComFedSv, CompletionSolver, Diagnostics, EstimatorKind, ExactShapley, FedSv, FedSvConfig,
         GroupTesting, MethodDefaults, RunContext, Tmc, ValuationError, ValuationReport,
         ValuationSession, Valuator,
-    };
-
-    // Deprecated legacy surface (see MIGRATION.md).
-    #[allow(deprecated)]
-    pub use fedval_shapley::{
-        comfedsv_pipeline, fedsv, fedsv_monte_carlo, ground_truth_valuation, ComFedSvConfig,
     };
 }

@@ -1,15 +1,161 @@
-//! Equivalence suite for the `Valuator` redesign: every strategy object
-//! must be **bit-identical** to the legacy free function it replaced on a
-//! seeded world, and the old panic paths must now surface as typed
-//! [`ValuationError`]s.
-
-#![allow(deprecated)]
+//! The valuation API's end-to-end bar: the 35 seeded valuations (all 7
+//! registered methods × 5 seeded worlds) keep their exact bits, and
+//! invalid inputs surface as typed [`ValuationError`]s rather than
+//! panics.
 
 use comfedsv::prelude::*;
-use comfedsv::shapley::{
-    fedsv, fedsv_monte_carlo, ground_truth_valuation, group_testing_shapley, tmc_shapley,
-    GroupTesting, Tmc, ValuationSession,
-};
+use fedval_linalg::DeterminismTier;
+
+const SEEDS: [u64; 5] = [1, 7, 11, 21, 42];
+
+/// Order-sensitive XOR-rotate checksum of every value's bits, per
+/// `(world seed, method)`, in the session's registry order. Training
+/// and valuation both pin the `BitExact` tier, so the table holds for
+/// every `FEDVAL_TIER` and `FEDVAL_THREADS` and in every build profile.
+/// A deliberate numeric change re-pins it from the failure message.
+const PINNED: [(u64, &str, u64); 35] = [
+    (1, "exact", 0x027d8e63c6738396),
+    (1, "fedsv", 0x5836e356434b1d22),
+    (1, "fedsv-mc", 0x52a65770f6425493),
+    (1, "comfedsv", 0xb6cb601b33bbc0db),
+    (1, "comfedsv-mc", 0xdc6759a5bfbe70d2),
+    (1, "tmc", 0x0234932a7a929e24),
+    (1, "group-testing", 0x51e9784735f1ebb5),
+    (7, "exact", 0xa609bc745b1cafff),
+    (7, "fedsv", 0x6c4b9da52aa60d57),
+    (7, "fedsv-mc", 0xe2c6b6631f20d877),
+    (7, "comfedsv", 0xa5f088d3c36394fd),
+    (7, "comfedsv-mc", 0xc63b1cbcee8d73fc),
+    (7, "tmc", 0x164178294b6b9e9e),
+    (7, "group-testing", 0x3b1ab359a97f2ad6),
+    (11, "exact", 0x3b03fc7c14179118),
+    (11, "fedsv", 0xf29a6503fe51ac10),
+    (11, "fedsv-mc", 0xee81d14c9ed67a4b),
+    (11, "comfedsv", 0xe4ff2a5d2f97e73f),
+    (11, "comfedsv-mc", 0x77ae207bd0054ab1),
+    (11, "tmc", 0x2a1155430a247cbd),
+    (11, "group-testing", 0x31c49b24c220eb05),
+    (21, "exact", 0xa7acb2dfa1041a62),
+    (21, "fedsv", 0x28188a33baa235b7),
+    (21, "fedsv-mc", 0x6237b2fa75826dea),
+    (21, "comfedsv", 0x83da2ed8a187d702),
+    (21, "comfedsv-mc", 0xaf52fd0f941d1cd3),
+    (21, "tmc", 0x4408bdaa489807de),
+    (21, "group-testing", 0xad3d1bc5b09ce0d6),
+    (42, "exact", 0x2ac68ae290580eac),
+    (42, "fedsv", 0x3249f98d52724734),
+    (42, "fedsv-mc", 0xda2af43ae5431b98),
+    (42, "comfedsv", 0xc555eb32c7eb7535),
+    (42, "comfedsv-mc", 0xf75c03c58c6eff78),
+    (42, "tmc", 0xf47d9dc6b1574f29),
+    (42, "group-testing", 0x12968392fa587a3d),
+];
+
+fn value_checksum(values: &[f64]) -> u64 {
+    values
+        .iter()
+        .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.to_bits())
+}
+
+/// The `tests/cache_equivalence.rs` worlds, trained at `BitExact`.
+fn pinned_world(seed: u64) -> (World, TrainingTrace) {
+    let world = ExperimentBuilder::synthetic(true)
+        .num_clients(5)
+        .samples_per_client(30)
+        .test_samples(60)
+        .seed(seed)
+        .build();
+    let cfg = FlConfig::new(4, 3, 0.2, seed).with_tier(DeterminismTier::BitExact);
+    let trace = world.train(&cfg);
+    (world, trace)
+}
+
+/// Runs `methods` on the five pinned worlds and asserts each
+/// `(seed, method)` checksum equals its [`PINNED`] row. The checksums
+/// are the outputs of the valuation code before its deprecated free
+/// functions were removed, so these are the legacy-parity checks.
+fn assert_pinned(methods: &[&str]) {
+    let mut actual = Vec::new();
+    for seed in SEEDS {
+        let (world, trace) = pinned_world(seed);
+        let oracle = world.oracle(&trace);
+        let mut session = ValuationSession::builder()
+            .rank(3)
+            .permutations(30)
+            .samples(80)
+            .seed(seed)
+            .tier(DeterminismTier::BitExact)
+            .build();
+        for &name in methods {
+            let report = session
+                .run(name, &oracle)
+                .unwrap_or_else(|e| panic!("seed {seed}, {name}: {e}"));
+            actual.push((seed, name, value_checksum(&report.values)));
+        }
+    }
+    let expected: Vec<(u64, &str, u64)> = SEEDS
+        .iter()
+        .flat_map(|&seed| {
+            methods.iter().map(move |&name| {
+                *PINNED
+                    .iter()
+                    .find(|(s, n, _)| *s == seed && *n == name)
+                    .unwrap_or_else(|| panic!("no pinned row for seed {seed}, {name}"))
+            })
+        })
+        .collect();
+    let mismatched = actual.iter().zip(&expected).filter(|(a, e)| a != e).count();
+    let table: String = actual
+        .iter()
+        .map(|(seed, name, sum)| format!("    ({seed}, \"{name}\", 0x{sum:016x}),\n"))
+        .collect();
+    assert!(
+        mismatched == 0 && actual.len() == expected.len(),
+        "{mismatched} of {} seeded valuations moved; this run's rows:\n{table}",
+        expected.len()
+    );
+}
+
+#[test]
+fn pinned_table_covers_every_registered_method() {
+    let session = ValuationSession::builder().build();
+    let mut names = session.method_names();
+    names.sort();
+    let mut pinned: Vec<&str> = PINNED.iter().map(|(_, n, _)| *n).collect();
+    pinned.sort();
+    pinned.dedup();
+    assert_eq!(names, pinned);
+}
+
+#[test]
+fn comfedsv_valuator_matches_legacy_pipeline_bitwise() {
+    assert_pinned(&["comfedsv"]);
+}
+
+#[test]
+fn comfedsv_monte_carlo_matches_legacy_bitwise() {
+    assert_pinned(&["comfedsv-mc"]);
+}
+
+#[test]
+fn fedsv_valuators_match_legacy_bitwise() {
+    assert_pinned(&["fedsv", "fedsv-mc"]);
+}
+
+#[test]
+fn tmc_valuator_matches_legacy_bitwise() {
+    assert_pinned(&["tmc"]);
+}
+
+#[test]
+fn group_testing_valuator_matches_legacy_bitwise() {
+    assert_pinned(&["group-testing"]);
+}
+
+#[test]
+fn exact_valuator_matches_legacy_ground_truth_bitwise() {
+    assert_pinned(&["exact"]);
+}
 
 fn seeded_world() -> (World, TrainingTrace) {
     let world = ExperimentBuilder::synthetic(true)
@@ -20,109 +166,6 @@ fn seeded_world() -> (World, TrainingTrace) {
         .build();
     let trace = world.train(&FlConfig::new(6, 3, 0.2, 23));
     (world, trace)
-}
-
-#[test]
-fn comfedsv_valuator_matches_legacy_pipeline_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    let cfg = ComFedSv::exact(5).with_lambda(1e-3).with_seed(23);
-    let legacy = comfedsv_pipeline(&oracle, &cfg);
-    let new = cfg.run(&oracle).unwrap();
-    assert_eq!(legacy.values, new.values);
-    assert_eq!(legacy.objective_trace, new.objective_trace);
-    // Through the trait object as well.
-    let boxed: Box<dyn Valuator> = Box::new(cfg.clone());
-    let report = boxed.value(&oracle, &mut RunContext::new()).unwrap();
-    assert_eq!(report.values, legacy.values);
-}
-
-#[test]
-fn comfedsv_monte_carlo_matches_legacy_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    let cfg = ComFedSv {
-        rank: 4,
-        lambda: 1e-3,
-        estimator: EstimatorKind::MonteCarlo {
-            num_permutations: 60,
-        },
-        als_max_iters: 50,
-        solver: Default::default(),
-        seed: 5,
-    };
-    let legacy = comfedsv_pipeline(&oracle, &cfg);
-    let new = cfg.run(&oracle).unwrap();
-    assert_eq!(legacy.values, new.values);
-    assert_eq!(legacy.permutations, new.permutations);
-}
-
-#[test]
-fn fedsv_valuators_match_legacy_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    assert_eq!(fedsv(&oracle), FedSv::exact().run(&oracle).unwrap());
-
-    let mc_cfg = FedSvConfig {
-        permutations_per_round: Some(80),
-        seed: 7,
-    };
-    assert_eq!(
-        fedsv_monte_carlo(&oracle, &mc_cfg),
-        FedSv::monte_carlo(mc_cfg.clone()).run(&oracle).unwrap()
-    );
-    let boxed: Box<dyn Valuator> = Box::new(FedSv::monte_carlo(mc_cfg));
-    let report = boxed.value(&oracle, &mut RunContext::new()).unwrap();
-    assert_eq!(report.method, "fedsv-mc");
-    assert_eq!(
-        report.values,
-        FedSv::monte_carlo(FedSvConfig {
-            permutations_per_round: Some(80),
-            seed: 7,
-        })
-        .run(&oracle)
-        .unwrap()
-    );
-}
-
-#[test]
-fn tmc_valuator_matches_legacy_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    let cfg = Tmc {
-        permutations: 40,
-        truncation_tol: 0.02,
-        seed: 3,
-        ..Tmc::default()
-    };
-    let legacy = tmc_shapley(&oracle, &cfg);
-    let new = cfg.run(&oracle).unwrap();
-    assert_eq!(legacy.values, new.values);
-    assert_eq!(legacy.truncated_fraction, new.truncated_fraction);
-}
-
-#[test]
-fn group_testing_valuator_matches_legacy_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    let cfg = GroupTesting {
-        num_samples: 150,
-        seed: 11,
-    };
-    assert_eq!(
-        group_testing_shapley(&oracle, &cfg),
-        cfg.run(&oracle).unwrap()
-    );
-}
-
-#[test]
-fn exact_valuator_matches_legacy_ground_truth_bitwise() {
-    let (world, trace) = seeded_world();
-    let oracle = world.oracle(&trace);
-    assert_eq!(
-        ground_truth_valuation(&oracle),
-        ExactShapley.run(&oracle).unwrap()
-    );
 }
 
 #[test]

@@ -5,6 +5,13 @@
 //! symmetric positive definite with dimension equal to the factor rank
 //! (≤ ~20). A dense Cholesky is the right tool: deterministic, fast, and
 //! failure (loss of positive definiteness) is an informative error.
+//!
+//! A ridge solve is two public steps, so a caller with many right-hand
+//! sides per design can factor once: [`ridge_factor_rows_into`] (or
+//! [`ridge_factor_into`] for a [`Matrix`] design) builds the Gram in one
+//! pass over the design's rows, read where they lie, and factors it in
+//! place; [`ridge_solve_factored`] substitutes one right-hand side.
+//! [`ridge_solve_into`] is the two steps, with the same bits.
 
 use crate::{LinalgError, Matrix, Result};
 
@@ -198,37 +205,122 @@ pub fn ridge_solve_into(
     ridge_solve_factored(&scratch.l, out)
 }
 
-/// Factor step of [`ridge_solve_into`]: assembles `G = AᵀA + λI` into
-/// `l` (`r × r` row-major, `r = a.cols()`) through
-/// [`gemm::gram_into`](crate::gemm::gram_into), then overwrites
+/// Factor step of [`ridge_solve_into`]: [`ridge_factor_rows_into`] over
+/// `a`'s rows in order, with `r = a.cols()`.
+pub fn ridge_factor_into(a: &Matrix, lambda: f64, l: &mut [f64]) -> Result<()> {
+    ridge_factor_rows_into((0..a.rows()).map(|i| a.row(i)), a.cols(), lambda, l)
+}
+
+/// Assembles `G = AᵀA + λI` for the design whose rows, in order, are
+/// `rows` (each `r` long) into `l` (`r × r` row-major), then overwrites
 /// its lower triangle with the Cholesky factor `L` (`G = L Lᵀ`). The
 /// strict upper triangle keeps `G`'s entries; [`ridge_solve_factored`]
 /// never reads it.
 ///
-/// The Gram sums each element over `a`'s rows in ascending order and
-/// adds `λ` to the diagonal last, so the factor depends only on the
-/// sequence of `a`'s rows: two designs with the same rows in the same
-/// order give the same bits. (Exact-zero products are not skipped; on
-/// finite inputs, which the completion problem enforces at observation
-/// insert, adding a `±0.0` product can only alter a sum's bits in
-/// signed-zero cases that accumulators starting from `+0.0` do not
-/// reach.) `λ` must be strictly positive.
-pub fn ridge_factor_into(a: &Matrix, lambda: f64, l: &mut [f64]) -> Result<()> {
-    if lambda <= 0.0 {
+/// The rows are read where they lie, in one pass, so a design that
+/// selects rows of another matrix (an ALS target's observed entries)
+/// needs no gathered copy. Each of the `r(r+1)/2` lower-triangle sums
+/// starts at `+0.0` and adds its products row by row in order; for
+/// ranks up to 8 all of them stay in registers for the whole pass. `λ`
+/// is added to the diagonal last. So the factor depends only on the
+/// sequence of rows: the same rows in the same order give the same
+/// bits. (Exact-zero products are not skipped; on finite inputs, which
+/// the completion problem enforces at observation insert, adding a
+/// `±0.0` product can only alter a sum's bits in signed-zero cases that
+/// accumulators starting from `+0.0` do not reach.)
+///
+/// `λ` must be positive and finite. A Gram that overflows, or is not
+/// positive definite for any other reason, is
+/// [`LinalgError::NotPositiveDefinite`].
+pub fn ridge_factor_rows_into<'a>(
+    rows: impl IntoIterator<Item = &'a [f64]>,
+    r: usize,
+    lambda: f64,
+    l: &mut [f64],
+) -> Result<()> {
+    if !(lambda > 0.0 && lambda.is_finite()) {
         return Err(LinalgError::InvalidDimension {
-            what: "ridge lambda must be positive",
+            what: "ridge lambda must be positive and finite",
         });
     }
-    let r = a.cols();
     if l.len() != r * r {
         return Err(LinalgError::ShapeMismatch {
             op: "ridge_factor",
-            lhs: a.shape(),
+            lhs: (r, r),
             rhs: (l.len(), 1),
         });
     }
-    crate::gemm::gram_into(a.as_slice(), a.rows(), r, lambda, l);
+    let rows = rows.into_iter();
+    match r {
+        1 => gram_lower::<1>(rows, l),
+        2 => gram_lower::<2>(rows, l),
+        3 => gram_lower::<3>(rows, l),
+        4 => gram_lower::<4>(rows, l),
+        5 => gram_lower::<5>(rows, l),
+        6 => gram_lower::<6>(rows, l),
+        7 => gram_lower::<7>(rows, l),
+        8 => gram_lower::<8>(rows, l),
+        _ => gram_lower_any(rows, r, l),
+    }?;
+    for p in 0..r {
+        for q in 0..p {
+            l[q * r + p] = l[p * r + q];
+        }
+        l[p * r + p] += lambda;
+    }
     factor_in_place(l, r)
+}
+
+/// A design row whose length is not the rank.
+fn row_mismatch(r: usize, len: usize) -> LinalgError {
+    LinalgError::ShapeMismatch {
+        op: "ridge_factor",
+        lhs: (r, r),
+        rhs: (1, len),
+    }
+}
+
+/// The lower triangle of `Σ rowᵀ row` into `g` (`R × R`), with the
+/// rank fixed at compile time so every running sum is a register.
+fn gram_lower<'a, const R: usize>(
+    rows: impl Iterator<Item = &'a [f64]>,
+    g: &mut [f64],
+) -> Result<()> {
+    let mut sums = [[0.0f64; R]; R];
+    for row in rows {
+        let row: &[f64; R] = row.try_into().map_err(|_| row_mismatch(R, row.len()))?;
+        for p in 0..R {
+            for q in 0..=p {
+                sums[p][q] += row[p] * row[q];
+            }
+        }
+    }
+    for p in 0..R {
+        g[p * R..=p * R + p].copy_from_slice(&sums[p][..=p]);
+    }
+    Ok(())
+}
+
+/// [`gram_lower`] for any rank, summing in place in `g`.
+fn gram_lower_any<'a>(
+    rows: impl Iterator<Item = &'a [f64]>,
+    r: usize,
+    g: &mut [f64],
+) -> Result<()> {
+    for p in 0..r {
+        g[p * r..=p * r + p].fill(0.0);
+    }
+    for row in rows {
+        if row.len() != r {
+            return Err(row_mismatch(r, row.len()));
+        }
+        for p in 0..r {
+            for q in 0..=p {
+                g[p * r + q] += row[p] * row[q];
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Solve step of [`ridge_solve_into`]: `x` holds the right-hand side
@@ -412,9 +504,83 @@ mod tests {
     }
 
     #[test]
+    fn ridge_factor_rows_matches_unblocked_assembly() {
+        // Ranks 1–8 take the register kernels and 9 the in-place sums;
+        // m = 0 is an unobserved ALS target (G = λI). Row entries include
+        // signed zeros and subnormals.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            match state % 11 {
+                0 => -0.0,
+                1 => 4e-310,
+                _ => (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0,
+            }
+        };
+        let lambda = 0.37;
+        for r in 1..=9 {
+            for m in [0, 1, 2, 7, 23] {
+                let a = Matrix::from_fn(m, r, |_, _| next());
+                let mut l = vec![f64::NAN; r * r];
+                ridge_factor_rows_into((0..m).map(|i| a.row(i)), r, lambda, &mut l).unwrap();
+                // The unblocked assembly: i outer, every element summed
+                // from +0.0 with i ascending, λ added after.
+                let mut gram = Matrix::zeros(r, r);
+                for i in 0..m {
+                    for p in 0..r {
+                        for q in 0..r {
+                            gram.set(p, q, gram.get(p, q) + a.get(i, p) * a.get(i, q));
+                        }
+                    }
+                }
+                for p in 0..r {
+                    gram.set(p, p, gram.get(p, p) + lambda);
+                }
+                let reference = CholeskyFactor::new(&gram).unwrap();
+                for p in 0..r {
+                    for q in 0..r {
+                        let expect = if q <= p {
+                            reference.l().get(p, q)
+                        } else {
+                            gram.get(p, q)
+                        };
+                        assert_eq!(l[p * r + q].to_bits(), expect.to_bits(), "r {r} m {m}");
+                    }
+                }
+                // The same rows picked by index, one of them twice, equal
+                // the gathered design's factor.
+                let picks: Vec<usize> = (0..m).chain((0..m).take(1)).rev().collect();
+                let gathered = Matrix::from_fn(picks.len(), r, |k, p| a.get(picks[k], p));
+                let mut by_index = vec![0.0; r * r];
+                let rows = picks.iter().map(|&i| a.row(i));
+                ridge_factor_rows_into(rows, r, lambda, &mut by_index).unwrap();
+                ridge_factor_into(&gathered, lambda, &mut l).unwrap();
+                assert_eq!(
+                    by_index.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
+                    l.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+        // A row of the wrong length and an overflowing Gram are errors.
+        let mut l = vec![0.0; 4];
+        let short = [1.0];
+        assert!(ridge_factor_rows_into([&short[..]], 2, lambda, &mut l).is_err());
+        let mut l = vec![0.0; 81];
+        assert!(ridge_factor_rows_into([&short[..]], 9, lambda, &mut l).is_err());
+        let huge = [1e200, 1.0];
+        assert!(matches!(
+            ridge_factor_rows_into([&huge[..]], 2, lambda, &mut [0.0; 4]),
+            Err(LinalgError::NotPositiveDefinite { .. })
+        ));
+    }
+
+    #[test]
     fn ridge_rejects_nonpositive_lambda() {
         let a = Matrix::zeros(2, 2);
-        assert!(ridge_solve(&a, &[0.0, 0.0], 0.0).is_err());
-        assert!(ridge_solve(&a, &[0.0, 0.0], -1.0).is_err());
+        for lambda in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            assert!(ridge_solve(&a, &[0.0, 0.0], lambda).is_err(), "{lambda}");
+        }
     }
 }

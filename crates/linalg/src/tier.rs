@@ -42,7 +42,7 @@ use std::sync::OnceLock;
 ///
 /// Everything else — `add_bias_rows`, `col_sums_acc`, `vector::dot` /
 /// `axpy`, softmax/log-sum-exp, Cholesky/QR/SVD, the ALS matrix
-/// completion (`gram_into` stays bit-exact on purpose), and all
+/// completion (its ridge Grams stay bit-exact on purpose), and all
 /// per-sample reference paths — is identical in both tiers.
 ///
 /// `Fast` is still **deterministic**: the alternative reduction order is

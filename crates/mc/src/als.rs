@@ -11,48 +11,67 @@
 //! only on that ordered sequence of other-side indices. A `Side` lays
 //! out each target's `(other index, value)` pairs contiguously and
 //! groups the targets by their sequence, once per solve: the grouping
-//! cannot change across sweeps. Each sweep then factors every group once
-//! ([`cholesky::ridge_factor_into`]), and each target only accumulates
-//! its right-hand side and substitutes against its group's factor
-//! ([`cholesky::ridge_solve_factored`]). The utility matrices ComFedSV
+//! cannot change across sweeps. Each sweep then factors every group
+//! once, and each target only accumulates its right-hand side and
+//! substitutes against its group's factor. The utility matrices ComFedSV
 //! completes have thousands of subset columns but few distinct
 //! observation patterns (about 80 for 3,000 columns in the benchmark's
 //! warm jobs), so most Gram assemblies and factorizations are shared. A
 //! problem whose sequences are all distinct pays one extra grouping pass
 //! per solve, not per sweep.
 //!
-//! Targets are substituted one at a time. Interleaving four targets'
-//! division chains made the column half-step 2.6–2.7× faster on an
-//! otherwise idle core, but throughput-bound: on a shared 2-vCPU Xeon VM
-//! it ran 1.6–1.9× slower whenever the host was busy, against about
-//! 1.25× for one chain at a time, so job latency split into two modes.
+//! **Packed lanes.** `Side` also orders its targets by group once per
+//! solve. A group's Gram is built in one pass over the other factor's
+//! rows where they lie ([`cholesky::ridge_factor_rows_into`]); no
+//! design is gathered. Its targets are then solved four at a time, one
+//! per `f64` lane: one broadcast design row and factor entry serve all
+//! four lanes, and each pivot is one packed true division (`vdivpd` on
+//! AVX2). The kernels are const-generic over the rank (1–8, chosen at
+//! run time; other ranks and a group's last 1–3 targets take the scalar
+//! path). An earlier variant interleaved four targets' *scalar* division
+//! chains. It ran 2.6–2.7× faster on an idle core but was throughput
+//! bound: on a shared 2-vCPU VM it slowed 1.6–1.9× whenever the host was
+//! busy, and job latency split into two modes. Packing issues a quarter
+//! of the scalar path's division µops rather than keeping four scalar
+//! chains in flight, so it leans far less on the core's spare
+//! throughput. Measured on that VM: ten 50 s `warm_revalue` benchmark
+//! runs spread 5% in jobs per second (the bound is 25%), with p90/p50
+//! latency 1.08–1.36 (median 1.12) against the scalar path's 1.05–1.48
+//! (1.09). The host's busy phases still show in per-job timestamps, as
+//! two latency levels about 1.4× apart (1.2× for the scalar path).
 //!
 //! **Bit-identical to one ridge solve per target.** Every target still
 //! goes through the same IEEE operations in the same order as a
-//! [`cholesky::ridge_solve_into`] call on its own design: the Gram
-//! summed in entry order with `λ` added last, the same factorization,
-//! the right-hand side accumulated in entry order, then forward and back
-//! substitution with true divisions. The group key is the *ordered*
+//! [`cholesky::ridge_solve_into`] call on its own design, in a packed
+//! lane or alone: the Gram summed in entry order with `λ` added last,
+//! the same factorization, the right-hand side accumulated in entry
+//! order from `+0.0` (multiply, then add; never fused), then forward and
+//! back substitution with true divisions. The group key is the *ordered*
 //! sequence, not the set of rows, because the Gram's sums follow entry
 //! order: the same rows hit in another order form another group. Targets
 //! with no observations share the empty sequence's group; their system
 //! `λI x = 0` solves to exactly `+0.0`, as the ridge solve of an empty
 //! design does. The tests pin all of this against a per-target reference.
 //!
-//! Targets are independent within a half-step and are solved in
-//! parallel through the persistent `fedval_runtime` pool (see
-//! `crate::parallel`); each writes only its own factor row, so the
-//! result does not depend on the pool size.
+//! Groups, packs and single targets are independent within a
+//! half-step and are solved in parallel through the persistent
+//! `fedval_runtime` pool (see `crate::parallel`). Each writes only its
+//! own slots of a buffer in group order, which is then scattered to the
+//! factor rows, so the result does not depend on the pool size.
+
+mod packed;
 
 use crate::completer::{check_finite, Completion, CompletionError, MatrixCompleter, SolveHooks};
 use crate::factors::Factors;
-use crate::parallel::{pooled_rows, pooled_rows_init};
+use crate::parallel::pooled_rows;
 use crate::problem::CompletionProblem;
-use fedval_linalg::{cholesky, Matrix};
+use fedval_linalg::{cholesky, LinalgError, Matrix};
+use packed::Lanes;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 
 /// ALS configuration.
 #[derive(Debug, Clone)]
@@ -114,8 +133,8 @@ impl MatrixCompleter for AlsConfig {
         if self.rank == 0 {
             return Err(CompletionError::InvalidRank);
         }
-        if self.lambda.is_nan() || self.lambda <= 0.0 {
-            // The ridge sub-solves need λ > 0 to stay SPD.
+        if !(self.lambda > 0.0 && self.lambda.is_finite()) {
+            // The ridge sub-solves need a finite λ > 0 to stay SPD.
             return Err(CompletionError::InvalidLambda {
                 lambda: self.lambda,
             });
@@ -163,14 +182,25 @@ fn run_als(
     let mut factors = init_factors(problem, config);
     let rows = Side::rows(problem);
     let cols = Side::cols(problem);
-    let mut chol = Vec::new();
+    let lanes = Lanes::detect();
+    let mut buffers = Buffers::default();
 
     let mut objective_trace = vec![factors.objective(problem, config.lambda)];
     for sweep in 0..config.max_iters {
         hooks.check()?;
         let Factors { w, h } = &mut factors;
-        rows.half_step(h, w, config.lambda, &mut chol);
-        cols.half_step(w, h, config.lambda, &mut chol);
+        let step = rows
+            .half_step(h, w, config.lambda, lanes, &mut buffers)
+            .and_then(|()| cols.half_step(w, h, config.lambda, lanes, &mut buffers));
+        if step.is_err() {
+            // A Gram that overflowed does not factor: the solve has
+            // left ℝ, at the first non-finite objective if there is one.
+            let first = objective_trace.iter().position(|o| !o.is_finite());
+            return Err(CompletionError::SolverDiverged {
+                solver: "als",
+                sweep: first.unwrap_or(sweep + 1),
+            });
+        }
         let obj = factors.objective(problem, config.lambda);
         let prev = *objective_trace.last().expect("non-empty");
         objective_trace.push(obj);
@@ -201,6 +231,20 @@ struct Side {
     /// Per group, its first target, whose design defines the group's
     /// factor.
     leaders: Vec<usize>,
+    /// The targets by group, ascending within a group: first every
+    /// group's full packs of four, then every group's last 1–3.
+    order: Vec<usize>,
+    /// How many packs of four lead `order`.
+    packs: usize,
+}
+
+/// The buffers a half-step reuses across sweeps.
+#[derive(Default)]
+struct Buffers {
+    /// One `r × r` factor per group.
+    chol: Vec<f64>,
+    /// The solutions, `r` per target, in `Side::order`.
+    solved: Vec<f64>,
 }
 
 impl Side {
@@ -246,7 +290,7 @@ impl Side {
         }
         let mut leaders = Vec::new();
         let mut by_sequence: HashMap<&[usize], usize> = HashMap::new();
-        let group = (0..targets)
+        let group: Vec<usize> = (0..targets)
             .map(|t| {
                 *by_sequence
                     .entry(&others[starts[t]..starts[t + 1]])
@@ -256,12 +300,25 @@ impl Side {
                     })
             })
             .collect();
+        let mut by_group: Vec<usize> = (0..targets).collect();
+        by_group.sort_by_key(|&t| group[t]);
+        let mut order = Vec::with_capacity(targets);
+        let mut tails = Vec::new();
+        for members in by_group.chunk_by(|&a, &b| group[a] == group[b]) {
+            let (full, tail) = members.split_at(members.len() / 4 * 4);
+            order.extend_from_slice(full);
+            tails.extend_from_slice(tail);
+        }
+        let packs = order.len() / 4;
+        order.append(&mut tails);
         Side {
             starts,
             others,
             values,
             group,
             leaders,
+            order,
+            packs,
         }
     }
 
@@ -270,34 +327,77 @@ impl Side {
         &self.others[self.starts[t]..self.starts[t + 1]]
     }
 
+    /// Target `t`'s observed values, in entry order.
+    fn values(&self, t: usize) -> &[f64] {
+        &self.values[self.starts[t]..self.starts[t + 1]]
+    }
+
     /// Ridge-solves every target row of `target` against the fixed
-    /// `other` factor: factors each group's Gram once into `chol` (one
-    /// `r × r` block per group), then per target accumulates the
-    /// right-hand side in entry order and substitutes against its
-    /// group's factor.
-    fn half_step(&self, other: &Matrix, target: &mut Matrix, lambda: f64, chol: &mut Vec<f64>) {
+    /// `other` factor. Factors each group's Gram once, reading the
+    /// group's rows of `other` in place, into `buffers.chol`. Then solves
+    /// the packs of four with the `lanes` kernel for the rank (or one
+    /// target at a time when the rank has none) and the remaining targets
+    /// one at a time, all into `buffers.solved` in `order`, and scatters
+    /// the solutions to their rows. Every target's solution depends only
+    /// on its own data, so the result is the same for any pool size.
+    ///
+    /// A Gram that does not factor (it overflowed) is an error, and
+    /// `target` is then left as it was.
+    fn half_step(
+        &self,
+        other: &Matrix,
+        target: &mut Matrix,
+        lambda: f64,
+        lanes: Lanes,
+        buffers: &mut Buffers,
+    ) -> Result<(), LinalgError> {
         let r = other.cols();
+        let Buffers { chol, solved } = buffers;
         chol.resize(self.leaders.len() * r * r, 0.0);
-        pooled_rows_init(chol, r * r, Matrix::default, |design, g, l| {
-            let sequence = self.others(self.leaders[g]);
-            // Every design row is fully overwritten below; skip the
-            // zero-fill.
-            design.resize_for_overwrite(sequence.len(), r);
-            for (k, &o) in sequence.iter().enumerate() {
-                design.row_mut(k).copy_from_slice(other.row(o));
+        let failure = OnceLock::new();
+        pooled_rows(chol, r * r, |g, l| {
+            let rows = self.others(self.leaders[g]).iter().map(|&o| other.row(o));
+            if let Err(e) = cholesky::ridge_factor_rows_into(rows, r, lambda, l) {
+                let _ = failure.set(e);
             }
-            cholesky::ridge_factor_into(design, lambda, l)
-                .expect("ridge system is SPD for lambda > 0");
         });
+        if let Some(e) = failure.into_inner() {
+            return Err(e);
+        }
         let factor = |t: usize| &chol[self.group[t] * r * r..(self.group[t] + 1) * r * r];
-        pooled_rows(target.as_mut_slice(), r, |t, x| {
-            x.iter_mut().for_each(|v| *v = 0.0);
-            let span = self.starts[t]..self.starts[t + 1];
-            for (&o, &v) in self.others[span.clone()].iter().zip(&self.values[span]) {
+        let solve_one = |t: usize, x: &mut [f64]| {
+            x.fill(0.0);
+            for (&o, &v) in self.others(t).iter().zip(self.values(t)) {
                 fedval_linalg::vector::axpy(v, other.row(o), x);
             }
             cholesky::ridge_solve_factored(factor(t), x).expect("factor and solution ranks agree");
+        };
+        solved.resize(self.order.len() * r, 0.0);
+        let (in_packs, in_tails) = solved.split_at_mut(self.packs * 4 * r);
+        let kernel = lanes.kernel(r);
+        pooled_rows(in_packs, 4 * r, |k, out| {
+            let pack: [usize; 4] = self.order[4 * k..4 * k + 4].try_into().expect("four");
+            match kernel {
+                Some(solve_pack) => solve_pack(
+                    factor(pack[0]),
+                    other,
+                    self.others(pack[0]),
+                    pack.map(|t| self.values(t)),
+                    out,
+                ),
+                None => {
+                    for (t, x) in pack.into_iter().zip(out.chunks_exact_mut(r)) {
+                        solve_one(t, x);
+                    }
+                }
+            }
         });
+        let tails = &self.order[4 * self.packs..];
+        pooled_rows(in_tails, r, |i, x| solve_one(tails[i], x));
+        for (&t, x) in self.order.iter().zip(solved.chunks_exact(r)) {
+            target.row_mut(t).copy_from_slice(x);
+        }
+        Ok(())
     }
 }
 
@@ -438,9 +538,19 @@ mod tests {
 
     #[test]
     fn grouped_half_steps_match_per_target_solves_bitwise() {
-        // The widest pool the CI runs (`FEDVAL_THREADS=4`).
+        // Rank 3 and 4 take the packed kernels, rank 9 the scalar path;
+        // the small problem stays inline, the large one takes the pooled
+        // path in every phase at the widest pool the CI runs
+        // (`FEDVAL_THREADS=4`).
+        for rank in [3, 4, 9] {
+            grouped_case(rank, false);
+            grouped_case(rank, true);
+        }
+    }
+
+    fn grouped_case(rank: usize, pooled: bool) {
         let threads = 4;
-        let (t, rank) = (12, 3);
+        let t = 12;
         let mut rng = StdRng::seed_from_u64(21);
         let w = Matrix::from_fn(t, rank, |_, _| rng.random::<f64>() * 2.0 - 1.0);
         let value = |rng: &mut StdRng, row: usize, key: u64| {
@@ -453,7 +563,8 @@ mod tests {
         // Random masks: mostly distinct sequences, most longer than the
         // rank.
         let mut key = 0u64;
-        for _ in 0..640 {
+        let random = if pooled { 640 } else { 16 };
+        for _ in 0..random {
             for row in 0..t {
                 if rng.random::<f64>() < 0.5 {
                     let v = value(&mut rng, row, key);
@@ -462,9 +573,16 @@ mod tests {
             }
             key += 1;
         }
-        // Three shared patterns, twenty columns each.
-        for pattern in [&[0usize, 3, 5, 9][..], &[2, 4], &[11, 1, 6, 7, 8]] {
-            for _ in 0..20 {
+        // Three shared patterns, each ending in a pack tail of 1, 2 and
+        // 3 targets.
+        let shared = key;
+        let extra = if pooled { 152 } else { 0 };
+        for (pattern, copies) in [
+            (&[0usize, 3, 5, 9][..], 21),
+            (&[2, 4], 22),
+            (&[11, 1, 6, 7, 8], 23),
+        ] {
+            for _ in 0..copies + extra {
                 for &row in pattern {
                     let v = value(&mut rng, row, key);
                     p.add_observation(row, key, v);
@@ -513,23 +631,92 @@ mod tests {
             );
         }
         assert_eq!(cols.others(p.column_index(twice).unwrap()), &[2, 5, 2]);
-        let shared = p.column_index(640).unwrap();
+        let shared = p.column_index(shared).unwrap();
         assert_eq!(cols.group[shared], cols.group[shared + 19]);
-        // Both phases of the column half-step take the pooled path.
-        let min_rows = crate::parallel::MIN_ROWS_PER_WORKER * threads;
-        assert!(cols.leaders.len() > min_rows);
-        assert!(p.num_cols() > min_rows);
+        let tails = cols.order.len() - 4 * cols.packs;
+        if pooled {
+            // Every phase of the column half-step takes the pooled path.
+            let min_rows = crate::parallel::MIN_ROWS_PER_WORKER * threads;
+            assert!(cols.leaders.len() > min_rows);
+            assert!(cols.packs > min_rows);
+            assert!(tails > min_rows);
+            assert!(p.num_cols() > min_rows);
+        } else {
+            // Every phase stays inline at any pool width.
+            let max_rows = 2 * crate::parallel::MIN_ROWS_PER_WORKER;
+            assert!(cols.leaders.len().max(cols.packs).max(tails) < max_rows);
+        }
 
         let config = AlsConfig::new(rank).with_lambda(0.05).with_max_iters(8);
         let (grouped, trace) = solve_als(&p, &config);
         let (reference, ref_trace) = reference_als(&p, &config);
         let bits = |m: &[f64]| m.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(trace.len(), 9, "all sweeps ran");
-        assert_eq!(bits(&trace), bits(&ref_trace));
+        assert_eq!(bits(&trace), bits(&ref_trace), "rank {rank}");
         assert_eq!(bits(grouped.w.as_slice()), bits(reference.w.as_slice()));
         assert_eq!(bits(grouped.h.as_slice()), bits(reference.h.as_slice()));
         for &g in &ghosts {
             assert!(grouped.h.row(g).iter().all(|v| v.to_bits() == 0));
+        }
+    }
+
+    #[test]
+    fn packed_half_step_matches_per_target_solves_bitwise() {
+        // Every rank with a pack kernel plus the first without, every
+        // pack tail, and both kernel instantiations called explicitly.
+        let instantiations: Vec<Lanes> = [Some(Lanes::portable()), Lanes::avx2()]
+            .into_iter()
+            .flatten()
+            .collect();
+        let mut rng = StdRng::seed_from_u64(33);
+        for rank in 1..=9 {
+            assert_eq!(Lanes::portable().kernel(rank).is_some(), rank <= 8);
+            // Row 4 holds signed zeros and subnormals.
+            let other = Matrix::from_fn(6, rank, |i, p| match (i, p % 2) {
+                (4, 0) => -0.0,
+                (4, _) => 3e-310,
+                _ => rng.random::<f64>() * 2.0 - 1.0,
+            });
+            for size in 1..=9 {
+                let mut p = CompletionProblem::new(6);
+                let mut key = 0u64;
+                // A sequence with a duplicated cell, then one that only
+                // hits row 4: its right-hand side is `+0.0 + (v · -0.0)`,
+                // which must come out `+0.0`, and subnormal products.
+                for rows in [&[1usize, 4, 3, 1][..], &[4]] {
+                    for _ in 0..size {
+                        for &row in rows {
+                            let v = 0.25 + rng.random::<f64>();
+                            p.add_observation(row, key, v);
+                        }
+                        key += 1;
+                    }
+                }
+                // The empty sequence's group.
+                let ghosts: Vec<usize> = (key..key + size as u64)
+                    .map(|k| p.ensure_column(k))
+                    .collect();
+                let cols = Side::cols(&p);
+                assert_eq!(cols.packs, 3 * (size / 4));
+                let mut expect = Matrix::zeros(p.num_cols(), rank);
+                let col_entries = |c| p.col_entries(c).to_vec();
+                reference_half_step(&p, &other, &mut expect, 0.3, col_entries, |(r, _)| r);
+                for &lanes in &instantiations {
+                    let mut h = Matrix::from_fn(p.num_cols(), rank, |_, _| f64::NAN);
+                    cols.half_step(&other, &mut h, 0.3, lanes, &mut Buffers::default())
+                        .unwrap();
+                    for (x, y) in h.as_slice().iter().zip(expect.as_slice()) {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{lanes:?} rank {rank} size {size}"
+                        );
+                    }
+                    for &g in &ghosts {
+                        assert!(h.row(g).iter().all(|v| v.to_bits() == 0));
+                    }
+                }
+            }
         }
     }
 

@@ -79,8 +79,9 @@ impl MatrixCompleter for CcdConfig {
         if self.rank == 0 {
             return Err(CompletionError::InvalidRank);
         }
-        if self.lambda.is_nan() || self.lambda <= 0.0 {
-            // Each 1-D ridge update divides by λ + Σ h² — λ > 0 keeps it safe.
+        if !(self.lambda > 0.0 && self.lambda.is_finite()) {
+            // Each 1-D ridge update divides by λ + Σ h² — a finite λ > 0
+            // keeps it safe.
             return Err(CompletionError::InvalidLambda {
                 lambda: self.lambda,
             });

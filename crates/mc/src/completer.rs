@@ -28,8 +28,8 @@ pub enum CompletionError {
     /// The factor rank was zero (every solver needs `r ≥ 1`).
     InvalidRank,
     /// The regularization weight is outside the solver's admissible range
-    /// (ALS and CCD++ need `λ > 0` for well-posed ridge sub-problems; SGD
-    /// accepts `λ ≥ 0`).
+    /// (ALS and CCD++ need a finite `λ > 0` for well-posed ridge
+    /// sub-problems; SGD accepts `λ ≥ 0`).
     InvalidLambda {
         /// The rejected value.
         lambda: f64,
@@ -212,6 +212,47 @@ mod tests {
                 matches!(s.complete(&p), Err(CompletionError::InvalidRank)),
                 "{}",
                 s.name()
+            );
+        }
+    }
+
+    #[test]
+    fn infinite_lambda_is_rejected_by_the_ridge_solvers() {
+        // λ = +∞ is positive, but no ridge system with it factors.
+        let p = tiny_problem();
+        for s in [
+            &AlsConfig::new(2).with_lambda(f64::INFINITY) as &dyn MatrixCompleter,
+            &CcdConfig::new(2).with_lambda(f64::INFINITY),
+        ] {
+            assert_eq!(
+                s.complete(&p).unwrap_err(),
+                CompletionError::InvalidLambda {
+                    lambda: f64::INFINITY
+                },
+                "{}",
+                s.name()
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_observation_is_divergence_not_a_panic() {
+        // 1e200 is finite, but its square (the initial objective) and the
+        // ALS Gram it feeds overflow.
+        let mut p = CompletionProblem::new(3);
+        p.add_observation(0, 1, 1e200);
+        p.add_observation(1, 1, 1.5);
+        p.add_observation(2, 3, -0.5);
+        for s in [
+            &AlsConfig::new(2) as &dyn MatrixCompleter,
+            &CcdConfig::new(2),
+        ] {
+            assert_eq!(
+                s.complete(&p).unwrap_err(),
+                CompletionError::SolverDiverged {
+                    solver: s.name(),
+                    sweep: 0
+                },
             );
         }
     }

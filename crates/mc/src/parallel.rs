@@ -26,22 +26,6 @@ pub(crate) const MIN_ROWS_PER_WORKER: usize = 32;
 /// fanning contiguous row chunks out across the global pool. `f` must
 /// be a pure function of `i` and captured read-only state.
 pub(crate) fn pooled_rows(target: &mut [f64], width: usize, f: impl Fn(usize, &mut [f64]) + Sync) {
-    pooled_rows_init(target, width, || (), |(), i, row| f(i, row));
-}
-
-/// [`pooled_rows`] with per-worker scratch state: `init()` runs once
-/// per chunk (on the worker that takes it) and `f(&mut scratch, i,
-/// row_i)` per row. This is how the ALS half-steps reuse their design
-/// buffer across the systems they factor in a sweep instead of
-/// allocating per factorization. Determinism is unchanged: scratch is
-/// write-only state from `f`'s perspective between rows (each row's
-/// result must not depend on which rows shared its scratch).
-pub(crate) fn pooled_rows_init<S>(
-    target: &mut [f64],
-    width: usize,
-    init: impl Fn() -> S + Sync,
-    f: impl Fn(&mut S, usize, &mut [f64]) + Sync,
-) {
     assert!(width > 0, "row width must be positive");
     let n = target.len() / width;
     if n == 0 {
@@ -50,9 +34,8 @@ pub(crate) fn pooled_rows_init<S>(
     let pool = Pool::global();
     let workers = pool.threads().min(n / MIN_ROWS_PER_WORKER).max(1).min(n);
     if workers == 1 {
-        let mut scratch = init();
         for (i, row) in target.chunks_mut(width).enumerate() {
-            f(&mut scratch, i, row);
+            f(i, row);
         }
         return;
     }
@@ -60,12 +43,10 @@ pub(crate) fn pooled_rows_init<S>(
     pool.scope(|scope| {
         for (chunk_idx, chunk) in target.chunks_mut(chunk_rows * width).enumerate() {
             let start = chunk_idx * chunk_rows;
-            let init = &init;
             let f = &f;
             scope.spawn(move || {
-                let mut scratch = init();
                 for (local, row) in chunk.chunks_mut(width).enumerate() {
-                    f(&mut scratch, start + local, row);
+                    f(start + local, row);
                 }
             });
         }
@@ -87,32 +68,6 @@ mod tests {
         for (j, v) in buf.iter().enumerate() {
             assert_eq!(*v, j as f64);
         }
-    }
-
-    #[test]
-    fn init_variant_reuses_scratch_within_a_chunk() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let inits = AtomicUsize::new(0);
-        let mut buf = vec![0.0; 4096];
-        pooled_rows_init(
-            &mut buf,
-            1,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                vec![0.0f64; 8]
-            },
-            |scratch, i, row| {
-                scratch[0] = i as f64;
-                row[0] = scratch[0] * 2.0;
-            },
-        );
-        for (i, v) in buf.iter().enumerate() {
-            assert_eq!(*v, i as f64 * 2.0);
-        }
-        assert!(
-            inits.load(Ordering::Relaxed) <= fedval_runtime::Pool::global().threads().max(1),
-            "scratch created at most once per chunk"
-        );
     }
 
     #[test]

@@ -11,8 +11,11 @@
 //! [`ridge_factor_into`] for a [`Matrix`] design) builds the Gram in one
 //! pass over the design's rows, read where they lie, and factors it in
 //! place; [`ridge_solve_factored`] substitutes one right-hand side.
-//! [`ridge_solve_into`] is the two steps, with the same bits.
+//! [`ridge_solve_into`] is the two steps, with the same bits, and
+//! [`ridge_solve_rows_into`] is them too for a design read where it
+//! lies, summing the Gram and the right-hand side in one pass.
 
+use crate::lanes::{F64x4, Isa, Lanes};
 use crate::{LinalgError, Matrix, Result};
 
 /// Lower-triangular Cholesky factor `L` with `A = L Lᵀ`.
@@ -220,14 +223,17 @@ pub fn ridge_factor_into(a: &Matrix, lambda: f64, l: &mut [f64]) -> Result<()> {
 /// The rows are read where they lie, in one pass, so a design that
 /// selects rows of another matrix (an ALS target's observed entries)
 /// needs no gathered copy. Each of the `r(r+1)/2` lower-triangle sums
-/// starts at `+0.0` and adds its products row by row in order; for
-/// ranks up to 8 all of them stay in registers for the whole pass. `λ`
-/// is added to the diagonal last. So the factor depends only on the
-/// sequence of rows: the same rows in the same order give the same
-/// bits. (Exact-zero products are not skipped; on finite inputs, which
-/// the completion problem enforces at observation insert, adding a
-/// `±0.0` product can only alter a sum's bits in signed-zero cases that
-/// accumulators starting from `+0.0` do not reach.)
+/// starts at `+0.0` and adds its products row by row in order; `λ` is
+/// added to the diagonal last. For ranks up to 8 the sums are kept one
+/// `f64` lane per Gram column ([`Lanes`]): Gram row `p` adds
+/// `row[p] · row` to its lanes, and `row[p] · row[q]` is the product
+/// the scalar sum adds, so the lower triangle has the same bits. So the
+/// factor depends only on the sequence of rows: the same rows in the
+/// same order give the same bits. (Exact-zero products are not skipped;
+/// on finite inputs, which the completion problem enforces at
+/// observation insert, adding a `±0.0` product can only alter a sum's
+/// bits in signed-zero cases that accumulators starting from `+0.0` do
+/// not reach.)
 ///
 /// `λ` must be positive and finite. A Gram that overflows, or is not
 /// positive definite for any other reason, is
@@ -237,6 +243,65 @@ pub fn ridge_factor_rows_into<'a>(
     r: usize,
     lambda: f64,
     l: &mut [f64],
+) -> Result<()> {
+    let rows = rows.into_iter().map(|row| (row, 0.0));
+    ridge_factor_lanes(Lanes::detect(), rows, r, lambda, l, &mut [])
+}
+
+/// One ridge solve in one pass over its design: `rows` yields each
+/// design row (`r` long) with its observed value `bᵢ`, in order, and
+/// `x` (`r` long) receives the solution of `(AᵀA + λI) x = Aᵀb`. The
+/// Gram and the right-hand side are summed in the same pass, so the
+/// rows are read once; the bits are those of [`ridge_factor_rows_into`]
+/// over the rows, then `Aᵀb` summed from `+0.0` by one
+/// [`axpy`](crate::vector::axpy) per row, then [`ridge_solve_factored`].
+pub fn ridge_solve_rows_into<'a>(
+    rows: impl IntoIterator<Item = (&'a [f64], f64)>,
+    r: usize,
+    lambda: f64,
+    x: &mut [f64],
+) -> Result<()> {
+    ridge_solve_rows_lanes(Lanes::detect(), rows.into_iter(), r, lambda, x)
+}
+
+/// [`ridge_solve_rows_into`] on the `lanes` instantiation.
+fn ridge_solve_rows_lanes<'a>(
+    lanes: Lanes,
+    rows: impl Iterator<Item = (&'a [f64], f64)>,
+    r: usize,
+    lambda: f64,
+    x: &mut [f64],
+) -> Result<()> {
+    if x.len() != r {
+        return Err(LinalgError::ShapeMismatch {
+            op: "ridge_solve_rows",
+            lhs: (r, r),
+            rhs: (x.len(), 1),
+        });
+    }
+    // The factor of a rank with lane kernels fits on the stack.
+    let (mut stack, mut heap) = ([0.0; 64], Vec::new());
+    let l = if r <= 8 {
+        &mut stack[..r * r]
+    } else {
+        heap.resize(r * r, 0.0);
+        &mut heap[..]
+    };
+    ridge_factor_lanes(lanes, rows, r, lambda, l, x)?;
+    substitute(l, x, r);
+    Ok(())
+}
+
+/// [`ridge_factor_rows_into`] on the `lanes` instantiation. With `x`
+/// empty the rows' values are ignored; with `x` `r` long it also
+/// receives the right-hand side `Σ bᵢ rowᵢ`, summed from `+0.0`.
+fn ridge_factor_lanes<'a>(
+    lanes: Lanes,
+    rows: impl Iterator<Item = (&'a [f64], f64)>,
+    r: usize,
+    lambda: f64,
+    l: &mut [f64],
+    x: &mut [f64],
 ) -> Result<()> {
     if !(lambda > 0.0 && lambda.is_finite()) {
         return Err(LinalgError::InvalidDimension {
@@ -250,17 +315,31 @@ pub fn ridge_factor_rows_into<'a>(
             rhs: (l.len(), 1),
         });
     }
-    let rows = rows.into_iter();
-    match r {
-        1 => gram_lower::<1>(rows, l),
-        2 => gram_lower::<2>(rows, l),
-        3 => gram_lower::<3>(rows, l),
-        4 => gram_lower::<4>(rows, l),
-        5 => gram_lower::<5>(rows, l),
-        6 => gram_lower::<6>(rows, l),
-        7 => gram_lower::<7>(rows, l),
-        8 => gram_lower::<8>(rows, l),
-        _ => gram_lower_any(rows, r, l),
+    debug_assert!(x.is_empty() || x.len() == r);
+    macro_rules! by_rank {
+        ($kernel:ident, $rhs:literal) => {
+            match r {
+                1 => $kernel::<_, 1, $rhs>(rows, l, x),
+                2 => $kernel::<_, 2, $rhs>(rows, l, x),
+                3 => $kernel::<_, 3, $rhs>(rows, l, x),
+                4 => $kernel::<_, 4, $rhs>(rows, l, x),
+                5 => $kernel::<_, 5, $rhs>(rows, l, x),
+                6 => $kernel::<_, 6, $rhs>(rows, l, x),
+                7 => $kernel::<_, 7, $rhs>(rows, l, x),
+                8 => $kernel::<_, 8, $rhs>(rows, l, x),
+                _ => gram_any(rows, r, l, x),
+            }
+        };
+    }
+    match (lanes.isa(), x.is_empty()) {
+        (Isa::Portable, true) => by_rank!(gram_portable, false),
+        (Isa::Portable, false) => by_rank!(gram_portable, true),
+        #[cfg(target_arch = "x86_64")]
+        (Isa::Avx2, true) => by_rank!(gram_avx2, false),
+        #[cfg(target_arch = "x86_64")]
+        (Isa::Avx2, false) => by_rank!(gram_avx2, true),
+        #[cfg(not(target_arch = "x86_64"))]
+        (Isa::Avx2, _) => unreachable!("Lanes::avx2 is None off x86-64"),
     }?;
     for p in 0..r {
         for q in 0..p {
@@ -280,37 +359,115 @@ fn row_mismatch(r: usize, len: usize) -> LinalgError {
     }
 }
 
-/// The lower triangle of `Σ rowᵀ row` into `g` (`R × R`), with the
-/// rank fixed at compile time so every running sum is a register.
-fn gram_lower<'a, const R: usize>(
-    rows: impl Iterator<Item = &'a [f64]>,
+/// The AVX2 instantiation of [`gram_lanes`].
+#[cfg(target_arch = "x86_64")]
+fn gram_avx2<'a, I, const R: usize, const RHS: bool>(
+    rows: I,
     g: &mut [f64],
-) -> Result<()> {
-    let mut sums = [[0.0f64; R]; R];
-    for row in rows {
+    x: &mut [f64],
+) -> Result<()>
+where
+    I: Iterator<Item = (&'a [f64], f64)>,
+{
+    /// # Safety
+    ///
+    /// The CPU must support AVX2.
+    #[target_feature(enable = "avx2")]
+    unsafe fn avx2<'a, I, const R: usize, const RHS: bool>(
+        rows: I,
+        g: &mut [f64],
+        x: &mut [f64],
+    ) -> Result<()>
+    where
+        I: Iterator<Item = (&'a [f64], f64)>,
+    {
+        gram_lanes::<std::arch::x86_64::__m256d, I, R, RHS>(rows, g, x)
+    }
+    // SAFETY: only `ridge_factor_lanes` calls this, for `Lanes(Isa::Avx2)`,
+    // which `Lanes::avx2` makes only after detecting AVX2 on this CPU.
+    unsafe { avx2::<I, R, RHS>(rows, g, x) }
+}
+
+/// The portable instantiation of [`gram_lanes`].
+fn gram_portable<'a, I, const R: usize, const RHS: bool>(
+    rows: I,
+    g: &mut [f64],
+    x: &mut [f64],
+) -> Result<()>
+where
+    I: Iterator<Item = (&'a [f64], f64)>,
+{
+    gram_lanes::<[f64; 4], I, R, RHS>(rows, g, x)
+}
+
+/// The lower triangle of `Σ rowᵀ row` into `g` (`R × R`, `R ≤ 8`) and,
+/// with `RHS`, `Σ b · row` into `x`, with the rank fixed at compile time
+/// so every running sum is a register. Gram row `p` keeps column `q` in
+/// lane `q % 4` of its vector `q / 4`; only the vectors that hold a
+/// lower-triangle column are summed, and the other lanes are thrown
+/// away.
+#[inline(always)]
+fn gram_lanes<'a, V: F64x4, I, const R: usize, const RHS: bool>(
+    rows: I,
+    g: &mut [f64],
+    x: &mut [f64],
+) -> Result<()>
+where
+    I: Iterator<Item = (&'a [f64], f64)>,
+{
+    let mut sums = [[V::splat(0.0); 2]; R];
+    let mut rhs = [V::splat(0.0); 2];
+    for (row, b) in rows {
         let row: &[f64; R] = row.try_into().map_err(|_| row_mismatch(R, row.len()))?;
+        // `row` in lanes, zero-padded past `R`.
+        let cols: [V; 2] = std::array::from_fn(|c| {
+            let mut lanes = [0.0; 4];
+            let tail = &row[(4 * c).min(R)..];
+            let width = tail.len().min(4);
+            lanes[..width].copy_from_slice(&tail[..width]);
+            V::from_array(lanes)
+        });
         for p in 0..R {
-            for q in 0..=p {
-                sums[p][q] += row[p] * row[q];
+            let rp = V::splat(row[p]);
+            for c in 0..=p / 4 {
+                sums[p][c] = sums[p][c].add(rp.mul(cols[c]));
+            }
+        }
+        if RHS {
+            let b = V::splat(b);
+            for c in 0..R.div_ceil(4) {
+                rhs[c] = rhs[c].add(b.mul(cols[c]));
             }
         }
     }
     for p in 0..R {
-        g[p * R..=p * R + p].copy_from_slice(&sums[p][..=p]);
+        let lanes = sums[p].map(V::to_array);
+        for q in 0..=p {
+            g[p * R + q] = lanes[q / 4][q % 4];
+        }
+    }
+    if RHS {
+        let lanes = rhs.map(V::to_array);
+        for p in 0..R {
+            x[p] = lanes[p / 4][p % 4];
+        }
     }
     Ok(())
 }
 
-/// [`gram_lower`] for any rank, summing in place in `g`.
-fn gram_lower_any<'a>(
-    rows: impl Iterator<Item = &'a [f64]>,
+/// [`gram_lanes`] for any rank, summing in place in `g` (and in `x`
+/// when it is not empty).
+fn gram_any<'a>(
+    rows: impl Iterator<Item = (&'a [f64], f64)>,
     r: usize,
     g: &mut [f64],
+    x: &mut [f64],
 ) -> Result<()> {
     for p in 0..r {
         g[p * r..=p * r + p].fill(0.0);
     }
-    for row in rows {
+    x.fill(0.0);
+    for (row, b) in rows {
         if row.len() != r {
             return Err(row_mismatch(r, row.len()));
         }
@@ -318,6 +475,9 @@ fn gram_lower_any<'a>(
             for q in 0..=p {
                 g[p * r + q] += row[p] * row[q];
             }
+        }
+        if !x.is_empty() {
+            crate::vector::axpy(b, row, x);
         }
     }
     Ok(())
@@ -505,9 +665,14 @@ mod tests {
 
     #[test]
     fn ridge_factor_rows_matches_unblocked_assembly() {
-        // Ranks 1–8 take the register kernels and 9 the in-place sums;
-        // m = 0 is an unobserved ALS target (G = λI). Row entries include
-        // signed zeros and subnormals.
+        // Ranks 1–8 take the lane kernels and 9 the in-place sums; m = 0
+        // is an unobserved ALS target (G = λI). Row entries include
+        // signed zeros and subnormals. Both lane instantiations run, each
+        // on the Gram alone and on the Gram with its right-hand side.
+        let instantiations: Vec<Lanes> = [Some(Lanes::portable()), Lanes::avx2()]
+            .into_iter()
+            .flatten()
+            .collect();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -519,12 +684,12 @@ mod tests {
                 _ => (state >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0,
             }
         };
+        let bits = |v: &[f64]| v.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let lambda = 0.37;
         for r in 1..=9 {
             for m in [0, 1, 2, 7, 23] {
                 let a = Matrix::from_fn(m, r, |_, _| next());
-                let mut l = vec![f64::NAN; r * r];
-                ridge_factor_rows_into((0..m).map(|i| a.row(i)), r, lambda, &mut l).unwrap();
+                let b: Vec<f64> = (0..m).map(|_| next()).collect();
                 // The unblocked assembly: i outer, every element summed
                 // from +0.0 with i ascending, λ added after.
                 let mut gram = Matrix::zeros(r, r);
@@ -539,16 +704,38 @@ mod tests {
                     gram.set(p, p, gram.get(p, p) + lambda);
                 }
                 let reference = CholeskyFactor::new(&gram).unwrap();
+                let mut expect = vec![0.0; r * r];
                 for p in 0..r {
                     for q in 0..r {
-                        let expect = if q <= p {
+                        expect[p * r + q] = if q <= p {
                             reference.l().get(p, q)
                         } else {
                             gram.get(p, q)
                         };
-                        assert_eq!(l[p * r + q].to_bits(), expect.to_bits(), "r {r} m {m}");
                     }
                 }
+                // The right-hand side by one axpy per row, then the
+                // substitution against the reference factor.
+                let mut solution = vec![0.0; r];
+                for i in 0..m {
+                    crate::vector::axpy(b[i], a.row(i), &mut solution);
+                }
+                ridge_solve_factored(&expect, &mut solution).unwrap();
+                let rows = || (0..m).map(|i| (a.row(i), b[i]));
+                for &lanes in &instantiations {
+                    let mut l = vec![f64::NAN; r * r];
+                    ridge_factor_lanes(lanes, rows(), r, lambda, &mut l, &mut []).unwrap();
+                    assert_eq!(bits(&l), bits(&expect), "{lanes:?} r {r} m {m}");
+                    let mut x = vec![f64::NAN; r];
+                    ridge_solve_rows_lanes(lanes, rows(), r, lambda, &mut x).unwrap();
+                    assert_eq!(bits(&x), bits(&solution), "{lanes:?} r {r} m {m}");
+                }
+                let mut l = vec![f64::NAN; r * r];
+                ridge_factor_rows_into((0..m).map(|i| a.row(i)), r, lambda, &mut l).unwrap();
+                assert_eq!(bits(&l), bits(&expect));
+                let mut x = vec![f64::NAN; r];
+                ridge_solve_rows_into(rows(), r, lambda, &mut x).unwrap();
+                assert_eq!(bits(&x), bits(&solution));
                 // The same rows picked by index, one of them twice, equal
                 // the gathered design's factor.
                 let picks: Vec<usize> = (0..m).chain((0..m).take(1)).rev().collect();
@@ -557,21 +744,25 @@ mod tests {
                 let rows = picks.iter().map(|&i| a.row(i));
                 ridge_factor_rows_into(rows, r, lambda, &mut by_index).unwrap();
                 ridge_factor_into(&gathered, lambda, &mut l).unwrap();
-                assert_eq!(
-                    by_index.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                    l.iter().map(|v| v.to_bits()).collect::<Vec<_>>()
-                );
+                assert_eq!(bits(&by_index), bits(&l));
             }
         }
-        // A row of the wrong length and an overflowing Gram are errors.
+        // A row of the wrong length, a solution of the wrong length and
+        // an overflowing Gram are errors.
         let mut l = vec![0.0; 4];
         let short = [1.0];
         assert!(ridge_factor_rows_into([&short[..]], 2, lambda, &mut l).is_err());
+        assert!(ridge_solve_rows_into([(&short[..], 1.0)], 2, lambda, &mut [0.0; 2]).is_err());
+        assert!(ridge_solve_rows_into([(&short[..], 1.0)], 1, lambda, &mut [0.0; 2]).is_err());
         let mut l = vec![0.0; 81];
         assert!(ridge_factor_rows_into([&short[..]], 9, lambda, &mut l).is_err());
         let huge = [1e200, 1.0];
         assert!(matches!(
             ridge_factor_rows_into([&huge[..]], 2, lambda, &mut [0.0; 4]),
+            Err(LinalgError::NotPositiveDefinite { .. })
+        ));
+        assert!(matches!(
+            ridge_solve_rows_into([(&huge[..], 1.0)], 2, lambda, &mut [0.0; 2]),
             Err(LinalgError::NotPositiveDefinite { .. })
         ));
     }

@@ -1,62 +1,76 @@
-//! Four same-group ALS targets substituted at once, one per `f64` lane.
+//! Four `f64` lanes for the ridge kernels, and same-group ridge targets
+//! substituted four at once.
 //!
-//! Every target in a group shares the group's ordered sequence of
-//! other-side rows and so its Cholesky factor; only the observed values
-//! differ. A pack of four such targets therefore reads one design row
-//! and one factor entry per step for all four lanes, and each pivot is
-//! one packed true division (`vdivpd` under AVX2) instead of four
+//! [`Lanes`] picks an instantiation of the lane kernels: one body,
+//! generic over its four-lane type, is instantiated on AVX2 `__m256d`
+//! registers and on portable `[f64; 4]` arrays. Every lane operation is
+//! one correctly rounded IEEE operation (no fused multiply-add, true
+//! divisions), so both instantiations give the same bits. The lane-wide
+//! Gram of [`cholesky`](crate::cholesky) and the pack substitution below
+//! share them.
+//!
+//! **Packs.** Targets whose designs are the same ordered sequence of
+//! rows share the Cholesky factor of that design; only their observed
+//! values differ. A pack of four such targets therefore reads one design
+//! row and one factor entry per step for all four lanes, and each pivot
+//! is one packed true division (`vdivpd` under AVX2) instead of four
 //! serial ones. Each lane runs exactly the IEEE operations, in the same
-//! order, of [`vector::axpy`](fedval_linalg::vector::axpy) per entry
-//! from `+0.0` and then
-//! [`cholesky::ridge_solve_factored`](fedval_linalg::cholesky::ridge_solve_factored):
+//! order, of [`vector::axpy`](crate::vector::axpy) per entry from `+0.0`
+//! and then
+//! [`cholesky::ridge_solve_factored`](crate::cholesky::ridge_solve_factored):
 //! multiply then add (never fused), forward then back substitution. So
-//! a packed target's solution has the bits of its lone solve.
+//! a packed target's solution has the bits of its lone solve. A group
+//! of fewer than four targets still fills a pack: its empty lanes repeat
+//! one of its targets and their outputs are thrown away.
 //!
-//! The kernels are const-generic over the rank, 1–8, because a
+//! The pack kernels are const-generic over the rank, 1–8, because a
 //! lane-major substitution only beats the scalar loop with its trip
-//! counts fixed at compile time; other ranks take the scalar path. One
-//! body, generic over its four-lane type, is instantiated twice: on
-//! AVX2 `__m256d` registers and on portable `[f64; 4]` arrays.
+//! counts fixed at compile time; other ranks take the scalar path.
 
-use fedval_linalg::Matrix;
+use crate::Matrix;
 
 /// Solves one pack: `l` is the group's `R × R` factor (lower triangle
-/// read), `sequence` the other-side rows the group observes, in entry
+/// read), `sequence` the rows of `other` the group observes, in entry
 /// order, and `values[j]` lane `j`'s observed values at those rows. Lane
 /// `j`'s solution is written to `out[j·R..(j + 1)·R]`.
-pub(super) type PackSolve = fn(&[f64], &Matrix, &[usize], [&[f64]; 4], &mut [f64]);
+pub type PackSolve = fn(&[f64], &Matrix, &[usize], [&[f64]; 4], &mut [f64]);
 
-/// Which instantiation of the pack kernels runs. Only [`Lanes::avx2`]
+/// Which instantiation of the lane kernels runs. Only [`Lanes::avx2`]
 /// makes the AVX2 one, and only on a CPU that has AVX2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(super) struct Lanes(Isa);
+pub struct Lanes(Isa);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Isa {
+pub(crate) enum Isa {
     Portable,
     Avx2,
 }
 
 impl Lanes {
     /// The widest instantiation this CPU runs.
-    pub(super) fn detect() -> Lanes {
+    pub fn detect() -> Lanes {
         Lanes::avx2().unwrap_or(Lanes::portable())
     }
 
     /// The portable `[f64; 4]` instantiation.
-    pub(super) fn portable() -> Lanes {
+    pub fn portable() -> Lanes {
         Lanes(Isa::Portable)
     }
 
     /// The AVX2 instantiation, if the CPU has AVX2.
-    pub(super) fn avx2() -> Option<Lanes> {
-        (cfg!(target_arch = "x86_64") && fedval_linalg::cpu::features().avx2)
-            .then_some(Lanes(Isa::Avx2))
+    pub fn avx2() -> Option<Lanes> {
+        (cfg!(target_arch = "x86_64") && crate::cpu::features().avx2).then_some(Lanes(Isa::Avx2))
+    }
+
+    /// Which instantiation this is. Only this module makes a `Lanes`, so
+    /// [`Isa::Avx2`] comes back only on a CPU with AVX2.
+    pub(crate) fn isa(self) -> Isa {
+        self.0
     }
 
     /// The pack kernel for rank `r`, or `None` when `r` has no
     /// specialization and packs take the scalar path.
-    pub(super) fn kernel(self, r: usize) -> Option<PackSolve> {
+    pub fn pack_kernel(self, r: usize) -> Option<PackSolve> {
         macro_rules! by_rank {
             ($kernel:ident) => {
                 match r {
@@ -121,8 +135,8 @@ fn solve_pack<const R: usize>(
 }
 
 /// Four `f64` lanes and the correctly rounded lane-wise operations the
-/// kernel uses. No operation is fused.
-trait F64x4: Copy {
+/// kernels use. No operation is fused.
+pub(crate) trait F64x4: Copy {
     fn splat(v: f64) -> Self;
     fn from_array(v: [f64; 4]) -> Self;
     fn to_array(self) -> [f64; 4];
@@ -163,9 +177,10 @@ impl F64x4 for [f64; 4] {
     }
 }
 
-/// The AVX2 lanes. Only `solve_pack_avx2` instantiates the kernel on
-/// them, and only inside its AVX2 function, which runs only on a CPU
-/// with AVX2: that is what every `unsafe` block below relies on.
+/// The AVX2 lanes. Kernels are instantiated on them only inside AVX2
+/// functions, which run only on a CPU with AVX2 (`Lanes(Isa::Avx2)`
+/// exists only there): that is what every `unsafe` block below relies
+/// on.
 #[cfg(target_arch = "x86_64")]
 impl F64x4 for std::arch::x86_64::__m256d {
     #[inline(always)]

@@ -7,7 +7,7 @@
 //!   minibatch model kernels and the ALS normal equations ([`gemm`]),
 //! * vector kernels shared by the model/optimizer code ([`vector`]),
 //! * a Cholesky SPD solver used by the ALS matrix-completion sub-problems
-//!   ([`cholesky`]),
+//!   ([`cholesky`]), with its four-lane kernels ([`lanes`]),
 //! * Householder QR for least-squares diagnostics ([`qr`]),
 //! * a one-sided Jacobi SVD used to reproduce the singular-value study of
 //!   the utility matrix (paper Fig. 2) ([`svd`]),
@@ -25,6 +25,7 @@ pub mod cholesky;
 pub mod cpu;
 pub mod error;
 pub mod gemm;
+pub mod lanes;
 pub mod low_rank;
 pub mod matrix;
 pub mod qr;
@@ -35,6 +36,7 @@ pub mod vector;
 pub use cholesky::CholeskyFactor;
 pub use cpu::{CpuFeatures, KernelIsa};
 pub use error::LinalgError;
+pub use lanes::Lanes;
 pub use low_rank::{eps_rank_upper_bound, truncated_reconstruction};
 pub use matrix::Matrix;
 pub use qr::QrFactor;

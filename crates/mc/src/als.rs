@@ -20,53 +20,73 @@
 //! problem whose sequences are all distinct pays one extra grouping pass
 //! per solve, not per sweep.
 //!
-//! **Packed lanes.** `Side` also orders its targets by group once per
-//! solve. A group's Gram is built in one pass over the other factor's
-//! rows where they lie ([`cholesky::ridge_factor_rows_into`]); no
-//! design is gathered. Its targets are then solved four at a time, one
-//! per `f64` lane: one broadcast design row and factor entry serve all
-//! four lanes, and each pivot is one packed true division (`vdivpd` on
-//! AVX2). The kernels are const-generic over the rank (1–8, chosen at
-//! run time; other ranks and a group's last 1–3 targets take the scalar
-//! path). An earlier variant interleaved four targets' *scalar* division
-//! chains. It ran 2.6–2.7× faster on an idle core but was throughput
-//! bound: on a shared 2-vCPU VM it slowed 1.6–1.9× whenever the host was
-//! busy, and job latency split into two modes. Packing issues a quarter
-//! of the scalar path's division µops rather than keeping four scalar
-//! chains in flight, so it leans far less on the core's spare
-//! throughput. Measured on that VM: ten 50 s `warm_revalue` benchmark
-//! runs spread 5% in jobs per second (the bound is 25%), with p90/p50
-//! latency 1.08–1.36 (median 1.12) against the scalar path's 1.05–1.48
-//! (1.09). The host's busy phases still show in per-job timestamps, as
-//! two latency levels about 1.4× apart (1.2× for the scalar path).
+//! **Packed lanes.** `Side` also lays its targets out by group once per
+//! solve, in *slots*. A shared group's Gram is built in one pass over
+//! the other factor's rows where they lie
+//! ([`cholesky::ridge_factor_rows_into`], one `f64` lane per Gram column
+//! for ranks up to 8); no design is gathered. Its targets are then
+//! solved four at a time, one per lane: one broadcast design row and
+//! factor entry serve all four lanes, and each pivot is one packed true
+//! division (`vdivpd` on AVX2). A group's last 1–3 targets fill a pack
+//! too, whose empty lanes repeat the group's last target; their outputs
+//! land in padding slots that nothing reads. The pack kernels are
+//! const-generic over the rank (1–8, chosen at run time; other ranks
+//! take the scalar path). A target alone in its group (every round on
+//! the row side) sums its Gram and right-hand side in the same pass
+//! ([`cholesky::ridge_solve_rows_into`]) and substitutes. An earlier
+//! variant interleaved four targets' *scalar* division chains. It was
+//! throughput bound: on a shared 2-vCPU VM it slowed 1.6–1.9× whenever
+//! the host was busy, and job latency split into two modes. Packing
+//! issues a quarter of the scalar path's division µops, so it leans far
+//! less on the core's spare throughput.
+//!
+//! **No per-sweep scatter.** `H` stays in the column side's slot order
+//! for the whole solve: the column half-step writes its slots in place,
+//! the row side names columns by slot (relabeled once per solve), and
+//! `H` is put back in column order once, at the end. Only `W` (one row
+//! per round) is copied out of its slots each sweep.
+//!
+//! **Where a sweep's time goes.** On the benchmark's seed-10 warm world
+//! (rank 4, 10 × 3,019, 3,487 observations, one thread on one CPU of a
+//! shared 2-vCPU VM), a solve of 100 sweeps took a median of 12.0–12.2
+//! ms in a harness timing each phase, against 18.2–20.0 ms before the
+//! lane-wide Gram, the one-pass objective, the padded packs and the
+//! slot-ordered `H`. Of that: the packs 5.4–5.6 ms (about 700 of a column half-step's
+//! ~760 packs belong to the ~2,800 columns no round observed), the
+//! single-target solves 2.6–2.8 ms (1.7 ms of it the row side's ten
+//! rounds), the objective 2–3 ms for 101 evaluations (its `‖H‖²` chain
+//! of ~12,000 in-order additions is the floor), the shared groups'
+//! factors 0.45 ms, and the once-per-solve grouping 0.65 ms.
 //!
 //! **Bit-identical to one ridge solve per target.** Every target still
 //! goes through the same IEEE operations in the same order as a
 //! [`cholesky::ridge_solve_into`] call on its own design, in a packed
-//! lane or alone: the Gram summed in entry order with `λ` added last,
-//! the same factorization, the right-hand side accumulated in entry
-//! order from `+0.0` (multiply, then add; never fused), then forward and
-//! back substitution with true divisions. The group key is the *ordered*
-//! sequence, not the set of rows, because the Gram's sums follow entry
-//! order: the same rows hit in another order form another group. Targets
-//! with no observations share the empty sequence's group; their system
-//! `λI x = 0` solves to exactly `+0.0`, as the ridge solve of an empty
-//! design does. The tests pin all of this against a per-target reference.
+//! lane or alone: the Gram summed in entry order from `+0.0` with `λ`
+//! added last (a lane holds the product `row[p] · row[q]` the scalar sum
+//! adds), the same factorization, the right-hand side accumulated in
+//! entry order from `+0.0` (multiply, then add; never fused), then
+//! forward and back substitution with true divisions. A padding lane
+//! computes a real target's solution again and is thrown away. The
+//! group key is the *ordered* sequence, not the set of rows, because the
+//! Gram's sums follow entry order: the same rows hit in another order
+//! form another group. Targets with no observations share the empty
+//! sequence's group; their system `λI x = 0` solves to exactly `+0.0`,
+//! as the ridge solve of an empty design does. The objective's chains
+//! keep their summands, order and `-0.0` start (see
+//! `factors::objective_of`), and reading `H` through the slot map only
+//! moves where a row is stored. The tests pin all of this against a
+//! per-target reference and the three-sum objective.
 //!
 //! Groups, packs and single targets are independent within a
 //! half-step and are solved in parallel through the persistent
 //! `fedval_runtime` pool (see `crate::parallel`). Each writes only its
-//! own slots of a buffer in group order, which is then scattered to the
-//! factor rows, so the result does not depend on the pool size.
-
-mod packed;
+//! own slots, so the result does not depend on the pool size.
 
 use crate::completer::{check_finite, Completion, CompletionError, MatrixCompleter, SolveHooks};
-use crate::factors::Factors;
+use crate::factors::{self, Factors};
 use crate::parallel::pooled_rows;
 use crate::problem::CompletionProblem;
-use fedval_linalg::{cholesky, LinalgError, Matrix};
-use packed::Lanes;
+use fedval_linalg::{cholesky, Lanes, LinalgError, Matrix};
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
@@ -174,24 +194,44 @@ fn init_factors(problem: &CompletionProblem, config: &AlsConfig) -> Factors {
 
 /// The ALS iteration itself; configuration validity is the caller's
 /// responsibility ([`MatrixCompleter::complete`] checks it).
+///
+/// `H` is kept in the column side's slot order for the whole solve (see
+/// [`Side`]): the column half-step writes it in place, the row side
+/// reads it through indices relabeled once, and the objective sums
+/// `‖H‖²` in column order through the slot map. `H` is put back in
+/// column order once, at the end.
 fn run_als(
     problem: &CompletionProblem,
     config: &AlsConfig,
     mut hooks: SolveHooks<'_>,
 ) -> Result<(Factors, Vec<f64>), CompletionError> {
-    let mut factors = init_factors(problem, config);
-    let rows = Side::rows(problem);
+    let Factors { mut w, h: init_h } = init_factors(problem, config);
     let cols = Side::cols(problem);
+    let rows = Side::rows(problem, &cols.slot);
+    let r = config.rank;
+    let mut h = Matrix::zeros(cols.order.len(), r);
+    for (c, &s) in cols.slot.iter().enumerate() {
+        h.row_mut(s).copy_from_slice(init_h.row(c));
+    }
     let lanes = Lanes::detect();
-    let mut buffers = Buffers::default();
+    let mut chol = Vec::new();
+    let mut w_slots = vec![0.0; rows.order.len() * r];
+    let objective = |w: &Matrix, h: &Matrix| {
+        let slot = |c: usize| cols.slot[c];
+        factors::objective_of(w, h, problem.num_cols(), slot, problem, config.lambda)
+    };
 
-    let mut objective_trace = vec![factors.objective(problem, config.lambda)];
+    let mut objective_trace = vec![objective(&w, &h)];
     for sweep in 0..config.max_iters {
         hooks.check()?;
-        let Factors { w, h } = &mut factors;
         let step = rows
-            .half_step(h, w, config.lambda, lanes, &mut buffers)
-            .and_then(|()| cols.half_step(w, h, config.lambda, lanes, &mut buffers));
+            .half_step(&h, &mut w_slots, config.lambda, lanes, &mut chol)
+            .and_then(|()| {
+                for (t, &s) in rows.slot.iter().enumerate() {
+                    w.row_mut(t).copy_from_slice(&w_slots[s * r..(s + 1) * r]);
+                }
+                cols.half_step(&w, h.as_mut_slice(), config.lambda, lanes, &mut chol)
+            });
         if step.is_err() {
             // A Gram that overflowed does not factor: the solve has
             // left ℝ, at the first non-finite objective if there is one.
@@ -201,7 +241,7 @@ fn run_als(
                 sweep: first.unwrap_or(sweep + 1),
             });
         }
-        let obj = factors.objective(problem, config.lambda);
+        let obj = objective(&w, &h);
         let prev = *objective_trace.last().expect("non-empty");
         objective_trace.push(obj);
         hooks.sweep(sweep + 1, obj);
@@ -209,18 +249,25 @@ fn run_als(
             break;
         }
     }
-    Ok((factors, objective_trace))
+    let h = Matrix::from_fn(problem.num_cols(), r, |c, p| h.get(cols.slot[c], p));
+    Ok((Factors { w, h }, objective_trace))
 }
 
 /// One side of the factorization as a half-step sees it: the targets it
 /// solves (the rows of `W`, or the rows of `H`), each with its observed
 /// `(other index, value)` pairs laid out contiguously in entry order,
 /// and the targets grouped by their ordered sequence of other indices.
+///
+/// A half-step writes its solutions to *slots*, in `order`: first every
+/// shared group's targets, padded with copies of its last target to a
+/// whole number of packs of four, then every single-target group's
+/// target. The padding slots hold duplicate solutions that nothing
+/// reads.
 struct Side {
     /// Target `t`'s pairs are at `starts[t]..starts[t + 1]`.
     starts: Vec<usize>,
-    /// Other-side index (column for a row target, row for a column
-    /// target) of each pair.
+    /// Other-side index of each pair: the row for a column target, and
+    /// the column's slot (see [`Side::rows`]) for a row target.
     others: Vec<usize>,
     /// Observed value of each pair.
     values: Vec<f64>,
@@ -229,32 +276,30 @@ struct Side {
     /// exactly `+0.0`.
     group: Vec<usize>,
     /// Per group, its first target, whose design defines the group's
-    /// factor.
+    /// factor. The first `shared` groups have two or more targets.
     leaders: Vec<usize>,
-    /// The targets by group, ascending within a group: first every
-    /// group's full packs of four, then every group's last 1–3.
+    /// How many groups have two or more targets; each is factored once
+    /// per sweep and its targets substituted in packs.
+    shared: usize,
+    /// The target of each slot: `packs` packs of four, then the
+    /// single-target groups' targets.
     order: Vec<usize>,
     /// How many packs of four lead `order`.
     packs: usize,
-}
-
-/// The buffers a half-step reuses across sweeps.
-#[derive(Default)]
-struct Buffers {
-    /// One `r × r` factor per group.
-    chol: Vec<f64>,
-    /// The solutions, `r` per target, in `Side::order`.
-    solved: Vec<f64>,
+    /// Each target's slot.
+    slot: Vec<usize>,
 }
 
 impl Side {
-    /// The rows of `W`: each round against the columns it observed.
-    fn rows(problem: &CompletionProblem) -> Side {
+    /// The rows of `W`: each round against the columns it observed. The
+    /// columns are named by their slot on the column side (`col_slot`),
+    /// where the solve keeps `H`'s rows.
+    fn rows(problem: &CompletionProblem, col_slot: &[usize]) -> Side {
         Side::new(
             problem,
             problem.num_rows(),
             |t| problem.row_entries(t),
-            |(_, col)| col,
+            |(_, col)| col_slot[col],
         )
     }
 
@@ -288,37 +333,47 @@ impl Side {
             }
             starts.push(others.len());
         }
-        let mut leaders = Vec::new();
         let mut by_sequence: HashMap<&[usize], usize> = HashMap::new();
-        let group: Vec<usize> = (0..targets)
+        let seen: Vec<usize> = (0..targets)
             .map(|t| {
+                let next = by_sequence.len();
                 *by_sequence
                     .entry(&others[starts[t]..starts[t + 1]])
-                    .or_insert_with(|| {
-                        leaders.push(t);
-                        leaders.len() - 1
-                    })
+                    .or_insert(next)
             })
             .collect();
+        let mut size = vec![0usize; by_sequence.len()];
+        seen.iter().for_each(|&g| size[g] += 1);
+        // Shared groups first, each kind in order of first appearance.
         let mut by_group: Vec<usize> = (0..targets).collect();
-        by_group.sort_by_key(|&t| group[t]);
+        by_group.sort_by_key(|&t| (size[seen[t]] < 2, seen[t]));
+        let (mut group, mut leaders, mut shared) = (vec![0; targets], Vec::new(), 0);
         let mut order = Vec::with_capacity(targets);
-        let mut tails = Vec::new();
-        for members in by_group.chunk_by(|&a, &b| group[a] == group[b]) {
-            let (full, tail) = members.split_at(members.len() / 4 * 4);
-            order.extend_from_slice(full);
-            tails.extend_from_slice(tail);
+        for members in by_group.chunk_by(|&a, &b| seen[a] == seen[b]) {
+            members.iter().for_each(|&t| group[t] = leaders.len());
+            leaders.push(members[0]);
+            order.extend_from_slice(members);
+            if members.len() > 1 {
+                shared += 1;
+                let last = members[members.len() - 1];
+                order.resize(order.len().next_multiple_of(4), last);
+            }
         }
-        let packs = order.len() / 4;
-        order.append(&mut tails);
+        let packs = (order.len() - (leaders.len() - shared)) / 4;
+        let mut slot = vec![0; targets];
+        for (s, &t) in order.iter().enumerate().rev() {
+            slot[t] = s;
+        }
         Side {
             starts,
             others,
             values,
             group,
             leaders,
+            shared,
             order,
             packs,
+            slot,
         }
     }
 
@@ -332,72 +387,65 @@ impl Side {
         &self.values[self.starts[t]..self.starts[t + 1]]
     }
 
-    /// Ridge-solves every target row of `target` against the fixed
-    /// `other` factor. Factors each group's Gram once, reading the
-    /// group's rows of `other` in place, into `buffers.chol`. Then solves
-    /// the packs of four with the `lanes` kernel for the rank (or one
-    /// target at a time when the rank has none) and the remaining targets
-    /// one at a time, all into `buffers.solved` in `order`, and scatters
-    /// the solutions to their rows. Every target's solution depends only
-    /// on its own data, so the result is the same for any pool size.
+    /// Ridge-solves every target against the fixed `other` factor (whose
+    /// rows the other-side indices name) into `slots`, `r` per slot, in
+    /// `order`. Factors each shared group's Gram once, reading the
+    /// group's rows of `other` in place, into `chol`, and solves its
+    /// packs of four with the `lanes` kernel for the rank (or one slot
+    /// at a time when the rank has none). A single-target group sums its
+    /// Gram and its right-hand side in one pass and substitutes. Every
+    /// target's solution depends only on its own data, so the result is
+    /// the same for any pool size.
     ///
     /// A Gram that does not factor (it overflowed) is an error, and
-    /// `target` is then left as it was.
+    /// `slots` is then in an unspecified state.
     fn half_step(
         &self,
         other: &Matrix,
-        target: &mut Matrix,
+        slots: &mut [f64],
         lambda: f64,
         lanes: Lanes,
-        buffers: &mut Buffers,
+        chol: &mut Vec<f64>,
     ) -> Result<(), LinalgError> {
         let r = other.cols();
-        let Buffers { chol, solved } = buffers;
-        chol.resize(self.leaders.len() * r * r, 0.0);
-        let failure = OnceLock::new();
+        chol.resize(self.shared * r * r, 0.0);
+        let mut failure = OnceLock::new();
         pooled_rows(chol, r * r, |g, l| {
             let rows = self.others(self.leaders[g]).iter().map(|&o| other.row(o));
             if let Err(e) = cholesky::ridge_factor_rows_into(rows, r, lambda, l) {
                 let _ = failure.set(e);
             }
         });
-        if let Some(e) = failure.into_inner() {
+        if let Some(e) = failure.take() {
             return Err(e);
         }
         let factor = |t: usize| &chol[self.group[t] * r * r..(self.group[t] + 1) * r * r];
-        let solve_one = |t: usize, x: &mut [f64]| {
-            x.fill(0.0);
-            for (&o, &v) in self.others(t).iter().zip(self.values(t)) {
-                fedval_linalg::vector::axpy(v, other.row(o), x);
-            }
-            cholesky::ridge_solve_factored(factor(t), x).expect("factor and solution ranks agree");
-        };
-        solved.resize(self.order.len() * r, 0.0);
-        let (in_packs, in_tails) = solved.split_at_mut(self.packs * 4 * r);
-        let kernel = lanes.kernel(r);
-        pooled_rows(in_packs, 4 * r, |k, out| {
-            let pack: [usize; 4] = self.order[4 * k..4 * k + 4].try_into().expect("four");
-            match kernel {
-                Some(solve_pack) => solve_pack(
-                    factor(pack[0]),
-                    other,
-                    self.others(pack[0]),
-                    pack.map(|t| self.values(t)),
-                    out,
-                ),
-                None => {
-                    for (t, x) in pack.into_iter().zip(out.chunks_exact_mut(r)) {
-                        solve_one(t, x);
-                    }
+        let (in_packs, in_singles) = slots.split_at_mut(self.packs * 4 * r);
+        match lanes.pack_kernel(r) {
+            Some(solve_pack) => pooled_rows(in_packs, 4 * r, |k, out| {
+                let pack: [usize; 4] = self.order[4 * k..4 * k + 4].try_into().expect("four");
+                let values = pack.map(|t| self.values(t));
+                solve_pack(factor(pack[0]), other, self.others(pack[0]), values, out);
+            }),
+            None => pooled_rows(in_packs, r, |s, x| {
+                let t = self.order[s];
+                x.fill(0.0);
+                for (&o, &v) in self.others(t).iter().zip(self.values(t)) {
+                    fedval_linalg::vector::axpy(v, other.row(o), x);
                 }
+                cholesky::ridge_solve_factored(factor(t), x).expect("factor and slot ranks agree");
+            }),
+        }
+        let singles = &self.order[4 * self.packs..];
+        pooled_rows(in_singles, r, |i, x| {
+            let t = singles[i];
+            let rows = self.others(t).iter().zip(self.values(t));
+            let rows = rows.map(|(&o, &v)| (other.row(o), v));
+            if let Err(e) = cholesky::ridge_solve_rows_into(rows, r, lambda, x) {
+                let _ = failure.set(e);
             }
         });
-        let tails = &self.order[4 * self.packs..];
-        pooled_rows(in_tails, r, |i, x| solve_one(tails[i], x));
-        for (&t, x) in self.order.iter().zip(solved.chunks_exact(r)) {
-            target.row_mut(t).copy_from_slice(x);
-        }
-        Ok(())
+        failure.take().map_or(Ok(()), Err)
     }
 }
 
@@ -663,21 +711,22 @@ mod tests {
     #[test]
     fn packed_half_step_matches_per_target_solves_bitwise() {
         // Every rank with a pack kernel plus the first without, every
-        // pack tail, and both kernel instantiations called explicitly.
+        // padded pack tail, single-target groups, and both kernel
+        // instantiations called explicitly.
         let instantiations: Vec<Lanes> = [Some(Lanes::portable()), Lanes::avx2()]
             .into_iter()
             .flatten()
             .collect();
         let mut rng = StdRng::seed_from_u64(33);
         for rank in 1..=9 {
-            assert_eq!(Lanes::portable().kernel(rank).is_some(), rank <= 8);
+            assert_eq!(Lanes::portable().pack_kernel(rank).is_some(), rank <= 8);
             // Row 4 holds signed zeros and subnormals.
             let other = Matrix::from_fn(6, rank, |i, p| match (i, p % 2) {
                 (4, 0) => -0.0,
                 (4, _) => 3e-310,
                 _ => rng.random::<f64>() * 2.0 - 1.0,
             });
-            for size in 1..=9 {
+            for size in 1..=9usize {
                 let mut p = CompletionProblem::new(6);
                 let mut key = 0u64;
                 // A sequence with a duplicated cell, then one that only
@@ -697,23 +746,43 @@ mod tests {
                     .map(|k| p.ensure_column(k))
                     .collect();
                 let cols = Side::cols(&p);
-                assert_eq!(cols.packs, 3 * (size / 4));
+                if size == 1 {
+                    // Three single-target groups: no packs.
+                    assert_eq!((cols.shared, cols.packs, cols.order.len()), (0, 0, 3));
+                } else {
+                    // Every target, a group's last 1–3 included, is in a
+                    // pack; the empty lanes repeat the group's last target.
+                    assert_eq!(cols.shared, 3);
+                    assert_eq!(cols.packs, 3 * size.div_ceil(4));
+                    assert_eq!(cols.order.len(), 4 * cols.packs);
+                    for pack in cols.order.chunks(4) {
+                        assert!(pack.iter().all(|&t| cols.group[t] == cols.group[pack[0]]));
+                        assert!(pack.windows(2).all(|w| w[0] <= w[1]));
+                    }
+                }
                 let mut expect = Matrix::zeros(p.num_cols(), rank);
                 let col_entries = |c| p.col_entries(c).to_vec();
                 reference_half_step(&p, &other, &mut expect, 0.3, col_entries, |(r, _)| r);
                 for &lanes in &instantiations {
-                    let mut h = Matrix::from_fn(p.num_cols(), rank, |_, _| f64::NAN);
-                    cols.half_step(&other, &mut h, 0.3, lanes, &mut Buffers::default())
+                    let mut slots = vec![f64::NAN; cols.order.len() * rank];
+                    cols.half_step(&other, &mut slots, 0.3, lanes, &mut Vec::new())
                         .unwrap();
-                    for (x, y) in h.as_slice().iter().zip(expect.as_slice()) {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "{lanes:?} rank {rank} size {size}"
-                        );
+                    for c in 0..p.num_cols() {
+                        let s = cols.slot[c];
+                        assert_eq!(cols.order[s], c);
+                        for (x, y) in slots[s * rank..(s + 1) * rank].iter().zip(expect.row(c)) {
+                            assert_eq!(
+                                x.to_bits(),
+                                y.to_bits(),
+                                "{lanes:?} rank {rank} size {size}"
+                            );
+                        }
                     }
                     for &g in &ghosts {
-                        assert!(h.row(g).iter().all(|v| v.to_bits() == 0));
+                        let s = cols.slot[g];
+                        assert!(slots[s * rank..(s + 1) * rank]
+                            .iter()
+                            .all(|v| v.to_bits() == 0));
                     }
                 }
             }

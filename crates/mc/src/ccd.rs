@@ -139,7 +139,7 @@ fn run_ccd(
     let mut wcol = vec![0.0; t];
     let mut hcol = vec![0.0; c];
 
-    let mut objective_trace = vec![objective(problem, &factors, &residuals, config.lambda)];
+    let mut objective_trace = vec![objective(&factors, &residuals, config.lambda)];
     for sweep in 0..config.max_iters {
         hooks.check()?;
         for k in 0..r {
@@ -202,7 +202,7 @@ fn run_ccd(
                 residuals[e] -= wcol[row] * hcol[col];
             }
         }
-        let obj = objective(problem, &factors, &residuals, config.lambda);
+        let obj = objective(&factors, &residuals, config.lambda);
         let prev = *objective_trace.last().expect("non-empty");
         objective_trace.push(obj);
         hooks.sweep(sweep + 1, obj);
@@ -223,14 +223,8 @@ fn run_ccd(
     Ok((factors, objective_trace))
 }
 
-fn objective(
-    problem: &CompletionProblem,
-    factors: &Factors,
-    residuals: &[f64],
-    lambda: f64,
-) -> f64 {
+fn objective(factors: &Factors, residuals: &[f64], lambda: f64) -> f64 {
     let sse: f64 = residuals.iter().map(|r| r * r).sum();
-    let _ = problem;
     sse + lambda * (factors.w.frobenius_norm().powi(2) + factors.h.frobenius_norm().powi(2))
 }
 

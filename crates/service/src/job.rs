@@ -57,11 +57,14 @@ pub struct JobSpec {
     pub tier: Option<DeterminismTier>,
     /// Scheduling class of every pool submission this job makes.
     pub class: JobClass,
-    /// Completion rank for the ComFedSV methods.
+    /// Completion rank for the ComFedSV methods (1 to
+    /// [`JobSpec::MAX_RANK`]; anything else is rejected at submission).
     pub rank: usize,
-    /// Permutation budget for "comfedsv-mc" and "tmc".
+    /// Permutation budget for "comfedsv-mc" and "tmc" (at most
+    /// [`JobSpec::MAX_DRAWS`]; more is rejected at submission).
     pub permutations: usize,
-    /// Coalition-sample budget for "group-testing".
+    /// Coalition-sample budget for "group-testing" (at most
+    /// [`JobSpec::MAX_DRAWS`]; more is rejected at submission).
     pub samples: usize,
     /// Override: number of clients in the world (1 to
     /// [`Subset::MAX_CLIENTS`]; more is rejected at submission).
@@ -79,6 +82,16 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
+    /// Largest completion rank a job may request. The completion
+    /// allocates `rank` floats per round and per subset column, so an
+    /// unbounded rank could abort the service on allocation.
+    pub const MAX_RANK: usize = 64;
+
+    /// Largest `permutations` or `samples` budget a job may request. The
+    /// estimators keep per-draw state, so an unbounded budget could
+    /// abort the service on allocation.
+    pub const MAX_DRAWS: usize = 1_000_000;
+
     /// A spec for `method` with the service defaults: "iid_baseline",
     /// seed 0, batch class, rank 4, 80 permutations, 200 samples, no
     /// world overrides.
@@ -646,6 +659,23 @@ impl JobManager {
         if scenario.rounds == 0 {
             return Err(SubmitError::InvalidSpec("rounds must be > 0".into()));
         }
+        if !(1..=JobSpec::MAX_RANK).contains(&spec.rank) {
+            return Err(SubmitError::InvalidSpec(format!(
+                "rank must be in 1..={}",
+                JobSpec::MAX_RANK
+            )));
+        }
+        for (field, draws) in [
+            ("permutations", spec.permutations),
+            ("samples", spec.samples),
+        ] {
+            if draws > JobSpec::MAX_DRAWS {
+                return Err(SubmitError::InvalidSpec(format!(
+                    "{field} must be <= {}",
+                    JobSpec::MAX_DRAWS
+                )));
+            }
+        }
         // Reserve an active slot before spawning; releases at job end.
         let active = self.inner.active.fetch_add(1, Ordering::AcqRel);
         if active >= self.inner.max_active {
@@ -1211,6 +1241,48 @@ mod tests {
             SubmitError::InvalidSpec(format!("num_clients must be <= {}", Subset::MAX_CLIENTS))
         );
         assert_eq!(manager.active_jobs(), 0, "a rejected spec holds no slot");
+    }
+
+    #[test]
+    fn absurd_rank_is_rejected_before_it_allocates() {
+        let manager = JobManager::new();
+        for rank in [0, JobSpec::MAX_RANK + 1, 1_000_000_000_000] {
+            let mut spec = JobSpec::new("comfedsv-mc");
+            spec.rank = rank;
+            assert_eq!(
+                manager.submit(spec).unwrap_err(),
+                SubmitError::InvalidSpec(format!("rank must be in 1..={}", JobSpec::MAX_RANK)),
+                "rank {rank}"
+            );
+        }
+        assert_eq!(manager.active_jobs(), 0);
+    }
+
+    #[test]
+    fn absurd_permutation_budget_is_rejected_before_it_allocates() {
+        let manager = JobManager::new();
+        for method in ["comfedsv-mc", "tmc"] {
+            let mut spec = JobSpec::new(method);
+            spec.permutations = 1_000_000_000_000;
+            assert_eq!(
+                manager.submit(spec).unwrap_err(),
+                SubmitError::InvalidSpec(format!("permutations must be <= {}", JobSpec::MAX_DRAWS)),
+                "{method}"
+            );
+        }
+        assert_eq!(manager.active_jobs(), 0);
+    }
+
+    #[test]
+    fn absurd_sample_budget_is_rejected_before_it_allocates() {
+        let manager = JobManager::new();
+        let mut spec = JobSpec::new("group-testing");
+        spec.samples = JobSpec::MAX_DRAWS + 1;
+        assert_eq!(
+            manager.submit(spec).unwrap_err(),
+            SubmitError::InvalidSpec(format!("samples must be <= {}", JobSpec::MAX_DRAWS))
+        );
+        assert_eq!(manager.active_jobs(), 0);
     }
 
     #[test]

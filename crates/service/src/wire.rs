@@ -5,6 +5,13 @@
 //! writer the benchmark binaries use — so the service adds no JSON
 //! dependency and its output style (compact rows, `": "` separators)
 //! matches the committed `BENCH_*.json` artifacts.
+//!
+//! Parsing only checks a field's type. [`JobManager::submit`] then
+//! bounds what a job may allocate and answers 400 beyond it: `"rank"`
+//! must lie in 1..=[`JobSpec::MAX_RANK`] (64), and `"permutations"` and
+//! `"samples"` may not exceed [`JobSpec::MAX_DRAWS`] (1,000,000).
+//!
+//! [`JobManager::submit`]: crate::JobManager::submit
 
 use crate::job::{Job, JobSpec, JobStatus};
 use fedval_cache::CacheStats;

@@ -330,18 +330,26 @@ impl CellCache {
     }
 
     /// Persists all dirty cells (evicted spill buffer + still-resident),
-    /// refreshes the manifest, and runs one maintenance turn (orphan
-    /// sweep + compaction, skipped if another process is the writer).
+    /// then runs one maintenance turn (orphan sweep, compaction and one
+    /// manifest rewrite, skipped if another process is the writer).
     /// Returns cells written. No-op without a usable disk directory.
     /// I/O errors are logged degradations — dirty cells stay buffered
     /// for the next flush attempt until the write-error limit trips
     /// degraded mode.
+    ///
+    /// A flush with nothing to write returns 0 without touching the
+    /// directory, not even the writer lock: compaction only has work
+    /// after a write, and an orphan left by a dead writer is swept at
+    /// the next startup or the next flush that writes.
     pub fn flush(&self) -> u64 {
         if self.disk_ok().is_none() {
             return 0;
         }
         let mut pending = std::mem::take(&mut *self.spill_buf.lock());
         pending.extend(self.store.drain_dirty());
+        if pending.is_empty() {
+            return 0;
+        }
         let written = self.write_segments(pending);
         if let Some(disk) = self.disk_ok() {
             let outcome = disk.maintain();
@@ -365,14 +373,21 @@ impl CellCache {
         };
         if flush_now {
             let pending = std::mem::take(&mut *self.spill_buf.lock());
-            self.write_segments(pending);
+            if self.write_segments(pending) > 0 {
+                if let Some(disk) = self.disk_ok() {
+                    if let Err(e) = disk.write_manifest() {
+                        eprintln!("fedval_cache: manifest write failed: {e}");
+                    }
+                }
+            }
         }
     }
 
     /// Groups `cells` by `(trace, tier)` and writes one segment per
     /// group; returns cells durably written. Failed groups re-buffer
     /// for retry — unless the failure pushed the cache over
-    /// [`WRITE_ERROR_LIMIT`], which degrades to memory-only.
+    /// [`WRITE_ERROR_LIMIT`], which degrades to memory-only. The
+    /// manifest is left to the caller, so a flush rewrites it once.
     fn write_segments(&self, cells: Vec<(CellKey, f64)>) -> u64 {
         let Some(disk) = self.disk_ok() else { return 0 };
         if cells.is_empty() {
@@ -409,12 +424,7 @@ impl CellCache {
                 }
             }
         }
-        if written > 0 {
-            self.spilled_cells.fetch_add(written, Ordering::Relaxed);
-            if let Err(e) = disk.write_manifest() {
-                eprintln!("fedval_cache: manifest write failed: {e}");
-            }
-        }
+        self.spilled_cells.fetch_add(written, Ordering::Relaxed);
         written
     }
 
@@ -542,6 +552,87 @@ mod tests {
         assert!(stats.resident_cells <= 2);
         assert!(stats.evictions >= 3);
         assert_eq!(stats.spilled_cells, 0, "no disk, nothing spilled");
+    }
+
+    /// Completes `key` with `value` in `cache`, as an evaluator would.
+    fn complete_cell(cache: &CellCache, key: CellKey, value: f64) {
+        let (slot, _) = cache.slot(key);
+        *slot.write() = Some(value);
+        drop(slot);
+        cache.complete(key, value);
+    }
+
+    /// Sets the modification time of every file in `dir` an hour back,
+    /// so any rewrite shows as a moved mtime.
+    fn backdate_all(dir: &std::path::Path) {
+        let old = std::time::SystemTime::now() - std::time::Duration::from_secs(3600);
+        for entry in fs::read_dir(dir).unwrap() {
+            fs::File::options()
+                .write(true)
+                .open(entry.unwrap().path())
+                .unwrap()
+                .set_times(fs::FileTimes::new().set_modified(old))
+                .unwrap();
+        }
+    }
+
+    /// Every file in `dir`: name, contents and modification time.
+    fn snapshot(dir: &std::path::Path) -> Vec<(String, Vec<u8>, std::time::SystemTime)> {
+        let mut files: Vec<_> = fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let path = entry.unwrap().path();
+                let name = path.file_name().unwrap().to_string_lossy().into_owned();
+                let modified = fs::metadata(&path).unwrap().modified().unwrap();
+                (name, fs::read(&path).unwrap(), modified)
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    #[test]
+    fn empty_flush_leaves_the_directory_untouched() {
+        let dir = tmpdir("emptyflush");
+        let cache = CellCache::with_dir(DEFAULT_MEM_BUDGET_BYTES, &dir);
+        complete_cell(&cache, key(0, 0b1), 0.5);
+        assert_eq!(cache.flush(), 1);
+        assert!(dir.join("manifest.json").exists());
+        assert!(dir.join(WRITER_LOCK_FILE).exists());
+        backdate_all(&dir);
+        let before = snapshot(&dir);
+
+        assert_eq!(cache.flush(), 0);
+        // A flush after a job that only read cells has nothing to write.
+        let (slot, state) = cache.slot(key(0, 0b1));
+        assert_eq!((state, *slot.read()), (SlotState::Complete, Some(0.5)));
+        drop(slot);
+        assert_eq!(cache.flush(), 0);
+        assert_eq!(snapshot(&dir), before, "no file written, touched or added");
+        drop(cache);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn writing_flush_sweeps_a_stale_orphan_tmp() {
+        let dir = tmpdir("flushsweep");
+        let cache = CellCache::with_dir(DEFAULT_MEM_BUDGET_BYTES, &dir);
+        // A dead writer's half-written segment, planted after the
+        // startup turn and old enough to sweep.
+        let orphan = dir.join("seg-dead.cells.tmp");
+        fs::write(&orphan, b"torn").unwrap();
+        backdate_all(&dir);
+        assert_eq!(cache.flush(), 0);
+        assert!(
+            orphan.exists(),
+            "an empty flush leaves the sweep to a writing one"
+        );
+
+        complete_cell(&cache, key(0, 0b1), 0.5);
+        assert_eq!(cache.flush(), 1);
+        assert!(!orphan.exists(), "the writing flush's turn swept it");
+        drop(cache);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -40,11 +40,13 @@
 //!    `fedval_models::workspace::CHUNK_ROWS` examples), so even a huge
 //!    single evaluation stops promptly; a cell abandoned mid-evaluation
 //!    is left unset — not stored, not counted — and a retry resumes it.
-//! 3. **Read.** [`UtilityOracle::utility`] is the single-cell API, a
-//!    thin shim over the cell store. A cache miss
-//!    (a cell outside any evaluated plan) falls back to a serial
-//!    evaluation on the shared scratch model, so incremental callers keep
-//!    working unchanged.
+//! 3. **Read.** Both batch calls return the planned cells' values in
+//!    plan order, read from the slots the batch already holds, so a
+//!    caller replaying the plan needs no second lookup per cell.
+//!    [`UtilityOracle::utility`] is the single-cell API, a thin shim
+//!    over the cell store. A cache miss (a cell outside any evaluated
+//!    plan) falls back to a serial evaluation on the shared scratch
+//!    model, so incremental callers keep working unchanged.
 //!
 //! Determinism: `U_t(S)` depends only on the recorded trace, the model
 //! architecture, and the test set — not on which worker computes it or in
@@ -389,9 +391,26 @@ impl<'a> UtilityOracle<'a> {
     /// training trace, the test set, and the base losses (which also
     /// pin the tier they were evaluated at). Deterministic across
     /// processes — this is the on-disk cache key prefix. Hashed once
-    /// per oracle and memoized.
+    /// per oracle and memoized, unless [`Self::set_fingerprint`]
+    /// supplied it.
     pub fn fingerprint(&self) -> Fingerprint {
         *self.fingerprint.get_or_init(|| self.hash_inputs())
+    }
+
+    /// Hands this oracle its [`Self::fingerprint`] instead of hashing
+    /// the trace again — the service's world memo keeps one per trained
+    /// trace and tier, and every later job's oracle takes it from
+    /// there. `fingerprint` must be what an oracle over the same trace,
+    /// model, test set and base losses returns; debug builds check it
+    /// against a fresh hash. A later [`Self::set_tier`] to another tier
+    /// drops it, as it drops a computed one.
+    pub fn set_fingerprint(&mut self, fingerprint: Fingerprint) {
+        debug_assert_eq!(
+            fingerprint,
+            self.hash_inputs(),
+            "handed fingerprint differs from this oracle's inputs"
+        );
+        self.fingerprint = OnceLock::from(fingerprint);
     }
 
     fn hash_inputs(&self) -> Fingerprint {
@@ -590,13 +609,14 @@ impl<'a> UtilityOracle<'a> {
 
     /// Evaluates every planned cell that is not yet in the cell store,
     /// in parallel across at most [`Self::parallelism`] chunks submitted
-    /// to the configured pool, with per-chunk scratch models. Each cell
-    /// is evaluated exactly once even when plans overlap or other
-    /// threads query concurrently.
-    pub fn evaluate_plan(&self, plan: &EvalPlan) {
+    /// to the configured pool, with per-chunk scratch models, and
+    /// returns the planned cells' values in plan order. Each cell is
+    /// evaluated exactly once even when plans overlap or other threads
+    /// query concurrently.
+    pub fn evaluate_plan(&self, plan: &EvalPlan) -> Vec<f64> {
         // A fresh token is never cancelled, so the batch cannot fail.
         self.try_evaluate_plan(plan, &CancelToken::new())
-            .expect("fresh token is never cancelled");
+            .expect("fresh token is never cancelled")
     }
 
     /// [`Self::evaluate_plan`] with cooperative cancellation: `cancel`
@@ -605,32 +625,60 @@ impl<'a> UtilityOracle<'a> {
     /// returned. Cells evaluated before the cut stay in the store (they
     /// are correct and already stored), so a retry resumes where the
     /// cancelled batch stopped.
+    ///
+    /// On success the result holds one value per planned cell, in the
+    /// order of [`EvalPlan::cells`], each bit-identical to what
+    /// [`Self::utility`] returns for that cell. They are read from the
+    /// slots this call looked up anyway — a resident cell when it is
+    /// counted as a hit, a computed one once its batch is done — so a
+    /// caller that fills a problem from them looks no cell up twice.
     pub fn try_evaluate_plan(
         &self,
         plan: &EvalPlan,
         cancel: &CancelToken,
-    ) -> Result<(), Cancelled> {
+    ) -> Result<Vec<f64>, Cancelled> {
         cancel.check()?;
-        let mut hits = 0u64;
-        let mut pending: Vec<((usize, Subset), CellSlot)> = Vec::new();
-        for &cell in plan.cells() {
+        let mut values = Vec::with_capacity(plan.len());
+        let mut pending: Vec<(usize, (usize, Subset), CellSlot)> = Vec::new();
+        for (i, &cell) in plan.cells().iter().enumerate() {
             assert!(cell.0 < self.trace.num_rounds(), "round out of range");
             let slot = self.slot(cell);
-            if slot.read().is_none() {
-                pending.push((cell, slot));
-            } else {
+            let resident = *slot.read();
+            match resident {
                 // Already resident (an earlier plan, a concurrent
                 // oracle over the same trace, or a disk-warm cell):
                 // work avoided, counted as a hit — never as a call.
-                hits += 1;
+                Some(v) => values.push(v),
+                // Its place is filled once the batch below is done.
+                None => {
+                    values.push(0.0);
+                    pending.push((i, cell, slot));
+                }
             }
         }
+        let hits = (plan.len() - pending.len()) as u64;
         if hits > 0 {
             self.hits.fetch_add(hits, Ordering::Relaxed);
         }
         if pending.is_empty() {
-            return Ok(());
+            return Ok(values);
         }
+        self.compute_pending(&pending, cancel)?;
+        // Slots are write-once and a batch that was not cancelled has
+        // filled every one of them.
+        for (i, _, slot) in &pending {
+            values[*i] = slot.read().expect("an uncancelled batch fills its slots");
+        }
+        Ok(values)
+    }
+
+    /// Computes the not-yet-resident cells of a plan, each into its
+    /// slot (a slot another evaluator filled meanwhile is left as is).
+    fn compute_pending(
+        &self,
+        pending: &[(usize, (usize, Subset), CellSlot)],
+        cancel: &CancelToken,
+    ) -> Result<(), Cancelled> {
         // A batch submission costs a queue push + wakeup and one model
         // clone per chunk; on cheap models a loss evaluation is
         // single-digit µs. Only fan out when each chunk gets enough
@@ -646,7 +694,7 @@ impl<'a> UtilityOracle<'a> {
             // inside the init closure — or a concurrent single-cell call
             // holding a slot while waiting for the scratch mutex would
             // deadlock against us holding scratch while waiting on the slot.
-            for ((t, s), slot) in &pending {
+            for (_, (t, s), slot) in pending {
                 cancel.check()?;
                 let computed = init_cell(slot, || {
                     let mut scratch = self.scratch.lock();
@@ -661,17 +709,17 @@ impl<'a> UtilityOracle<'a> {
             return cancel.check();
         }
         self.pool.get().for_each_init(
-            pending,
+            pending.iter().collect(),
             workers,
             || CellScratch::new(self.prototype.clone_model(), self.tier),
-            |scratch, ((t, s), slot)| {
+            |scratch, (_, (t, s), slot)| {
                 // A mid-cell cancellation leaves the slot unset; the
                 // pool observes the shared token at the next item
                 // boundary and reports Cancelled for the whole batch.
                 if let Ok(Some(v)) =
-                    init_cell(&slot, || self.try_compute_cell(scratch, t, s, cancel))
+                    init_cell(slot, || self.try_compute_cell(scratch, *t, *s, cancel))
                 {
-                    self.note_complete((t, s), v);
+                    self.note_complete((*t, *s), v);
                 }
             },
             Some(cancel),
@@ -1204,6 +1252,44 @@ mod tests {
         let trace2 = train_federated(&proto, &clients, &FlConfig::new(3, 2, 0.2, 1));
         let d = UtilityOracle::new(&trace2, &proto, &test);
         assert_ne!(a.fingerprint(), d.fingerprint());
+    }
+
+    #[test]
+    fn handed_fingerprint_keys_the_cells_and_a_retier_drops_it() {
+        let (trace, proto, test) = setup();
+        let hashed = UtilityOracle::new(&trace, &proto, &test).fingerprint();
+        let cache = fedval_cache::CellCache::in_memory(usize::MAX);
+        let plan = full_plan(trace.num_rounds(), 4);
+        UtilityOracle::new(&trace, &proto, &test)
+            .with_shared_cache(Arc::clone(&cache))
+            .evaluate_plan(&plan);
+
+        let mut handed = UtilityOracle::new(&trace, &proto, &test);
+        handed.set_fingerprint(hashed);
+        assert_eq!(handed.fingerprint(), hashed);
+        let handed = handed.with_shared_cache(Arc::clone(&cache));
+        handed.evaluate_plan(&plan);
+        assert_eq!(handed.cell_hits(), plan.len() as u64, "same cell keys");
+
+        let other = match DeterminismTier::default_tier() {
+            DeterminismTier::BitExact => DeterminismTier::Fast,
+            DeterminismTier::Fast => DeterminismTier::BitExact,
+        };
+        let mut retiered = UtilityOracle::new(&trace, &proto, &test);
+        retiered.set_fingerprint(hashed);
+        retiered.set_tier(other);
+        let fresh = UtilityOracle::new(&trace, &proto, &test).with_tier(other);
+        assert_eq!(retiered.fingerprint(), fresh.fingerprint());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "handed fingerprint differs")]
+    fn a_wrong_handed_fingerprint_panics_in_debug_builds() {
+        let (trace, proto, test) = setup();
+        let mut oracle = UtilityOracle::new(&trace, &proto, &test);
+        let wrong = Fingerprint::from_bits(oracle.fingerprint().bits() ^ 1);
+        oracle.set_fingerprint(wrong);
     }
 
     #[test]

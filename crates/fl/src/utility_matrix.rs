@@ -57,22 +57,16 @@ pub fn try_full_utility_matrix(oracle: &UtilityOracle<'_>) -> Result<Matrix, Ora
     }
     let t = oracle.num_rounds();
     let cols = 1usize << n;
-    // Evaluate the whole grid as one parallel batch, then read it out.
+    // Evaluate the whole grid as one parallel batch, then place each
+    // value at its column (column 0, the empty coalition, stays zero).
     let mut plan = EvalPlan::new();
     for round in 0..t {
         plan.add_subsets_of(round, Subset::full(n));
     }
-    oracle.evaluate_plan(&plan);
+    let values = oracle.evaluate_plan(&plan);
     let mut m = Matrix::zeros(t, cols);
-    for round in 0..t {
-        let row = 0..cols;
-        for j in row {
-            if j == 0 {
-                continue;
-            }
-            let s = Subset::from_bits(j as u64);
-            m.set(round, j, oracle.utility(round, s));
-        }
+    for (&(round, s), v) in plan.cells().iter().zip(values) {
+        m.set(round, s.bits() as usize, v);
     }
     Ok(m)
 }
@@ -86,13 +80,14 @@ pub fn observed_entries(oracle: &UtilityOracle<'_>) -> Vec<ObservedEntry> {
     for round in 0..t {
         plan.add_subsets_of(round, oracle.trace().selected(round));
     }
-    oracle.evaluate_plan(&plan);
+    let values = oracle.evaluate_plan(&plan);
     plan.cells()
         .iter()
-        .map(|&(round, subset)| ObservedEntry {
+        .zip(values)
+        .map(|(&(round, subset), value)| ObservedEntry {
             round,
             subset,
-            value: oracle.utility(round, subset),
+            value,
         })
         .collect()
 }

@@ -279,6 +279,64 @@ fn cancelled_batch_reports_cancelled_and_keeps_partial_results() {
     }
 }
 
+/// Asserts `values` holds `reference`'s `U_t(S)` for every planned cell,
+/// in plan order, bit for bit.
+fn assert_plan_values(values: &[f64], plan: &EvalPlan, reference: &UtilityOracle<'_>, what: &str) {
+    assert_eq!(values.len(), plan.len(), "{what}: one value per cell");
+    for (&(t, s), v) in plan.cells().iter().zip(values) {
+        assert_eq!(
+            v.to_bits(),
+            reference.utility(t, s).to_bits(),
+            "{what}: cell ({t}, {s:?})"
+        );
+    }
+}
+
+#[test]
+fn plan_values_equal_utility_bitwise_cold_warm_and_after_a_cancelled_retry() {
+    let (trace, proto, test) = world(6, 4, 3);
+    let plan = full_plan(6, 4);
+    let reference = UtilityOracle::new(&trace, &proto, &test).with_parallelism(1);
+    // The first half of the cells, in a plan of its own.
+    let mut half = EvalPlan::new();
+    for &(t, s) in &plan.cells()[..plan.len() / 2] {
+        half.add(t, s);
+    }
+    for width in [1usize, 4] {
+        let oracle = UtilityOracle::new(&trace, &proto, &test)
+            .with_pool(PoolHandle::owned(Pool::new(width)))
+            .with_parallelism(width);
+        oracle.reset_counter();
+        let cold = oracle.evaluate_plan(&half);
+        assert_plan_values(&cold, &half, &reference, &format!("cold, width {width}"));
+        let partly = oracle.evaluate_plan(&plan);
+        assert_plan_values(&partly, &plan, &oracle, &format!("partly warm, {width}"));
+        assert_plan_values(&partly, &plan, &reference, &format!("partly warm, {width}"));
+        let warm = oracle.evaluate_plan(&plan);
+        assert_plan_values(&warm, &plan, &reference, &format!("warm, width {width}"));
+        assert_eq!(oracle.loss_evaluations(), plan.len() as u64);
+        assert_eq!(oracle.cell_hits(), (half.len() + plan.len()) as u64);
+    }
+
+    // A batch cancelled mid-way, then retried: the retry returns every
+    // value, those evaluated before the cut included.
+    let token = CancelToken::new();
+    let wrapper = CancellingModel {
+        inner: proto.clone(),
+        calls: Arc::new(AtomicU64::new(0)),
+        // After the oracle's 4 base losses, 9 cells.
+        trigger: 4 + 9,
+        token: token.clone(),
+    };
+    let oracle = UtilityOracle::new(&trace, &wrapper, &test).with_parallelism(1);
+    assert_eq!(oracle.try_evaluate_plan(&plan, &token), Err(Cancelled));
+    let retried = oracle
+        .try_evaluate_plan(&plan, &CancelToken::new())
+        .unwrap();
+    assert_plan_values(&retried, &plan, &reference, "after a cancelled batch");
+    assert_plan_values(&retried, &plan, &oracle, "after a cancelled batch");
+}
+
 #[test]
 fn isolated_oracle_starts_with_an_empty_cache() {
     let (trace, proto, test) = world(5, 3, 3);

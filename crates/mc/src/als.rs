@@ -51,8 +51,10 @@
 //! shared 2-vCPU VM), a solve of 100 sweeps took a median of 12.0–12.2
 //! ms in a harness timing each phase, against 18.2–20.0 ms before the
 //! lane-wide Gram, the one-pass objective, the padded packs and the
-//! slot-ordered `H`. Of that: the packs 5.4–5.6 ms (about 700 of a column half-step's
-//! ~760 packs belong to the ~2,800 columns no round observed), the
+//! slot-ordered `H`. Of that: the packs 5.4–5.6 ms (about 700 of a
+//! column half-step's ~755 packs belong to the ~2,800 columns observed
+//! in round 0 only, the sequence `[0]`; round 0 selects every client, so
+//! every column is observed and none solves to `+0.0`), the
 //! single-target solves 2.6–2.8 ms (1.7 ms of it the row side's ten
 //! rounds), the objective 2–3 ms for 101 evaluations (its `‖H‖²` chain
 //! of ~12,000 in-order additions is the floor), the shared groups'

@@ -462,13 +462,41 @@ impl std::fmt::Display for SubmitError {
 impl std::error::Error for SubmitError {}
 
 /// A memoized `(scenario, seed)` product: the built world, its trained
-/// trace, and the per-round base losses the first oracle evaluated.
-/// Shared read-only between every job with the same key, so repeat and
-/// concurrent submissions train once and value many times.
+/// trace, the per-round base losses the first oracle evaluated, and the
+/// oracle fingerprint per tier. Shared between every job with the same
+/// key, so repeat and concurrent submissions train once, hash the
+/// trace once per tier, and value many times.
 struct TrainedWorld {
     world: World,
     trace: TrainingTrace,
     base_losses: Vec<f64>,
+    /// [`UtilityOracle::fingerprint`] of this trace at each tier a job
+    /// has valued it at: the first such job hashes, later ones reuse.
+    fingerprints: Mutex<HashMap<DeterminismTier, Fingerprint>>,
+}
+
+impl TrainedWorld {
+    fn new(world: World, trace: TrainingTrace, base_losses: Vec<f64>) -> Arc<Self> {
+        Arc::new(TrainedWorld {
+            world,
+            trace,
+            base_losses,
+            fingerprints: Mutex::new(HashMap::new()),
+        })
+    }
+
+    /// Gives `oracle` (built over this world, already at its final
+    /// tier) its fingerprint from the memo, or hashes it and memoizes
+    /// it when this is the first job at that tier.
+    fn hand_fingerprint(&self, oracle: &mut UtilityOracle<'_>) {
+        let mut memo = self.fingerprints.lock().unwrap_or_else(|e| e.into_inner());
+        match memo.get(&oracle.tier()) {
+            Some(&fingerprint) => oracle.set_fingerprint(fingerprint),
+            None => {
+                memo.insert(oracle.tier(), oracle.fingerprint());
+            }
+        }
+    }
 }
 
 /// State of one world-memo slot.
@@ -1070,11 +1098,7 @@ fn rehydrate(record: TraceRecord, scenario: &Scenario, seed: u64) -> Option<Arc<
         final_params: record.final_params,
         num_clients,
     };
-    Some(Arc::new(TrainedWorld {
-        world,
-        trace,
-        base_losses: record.base_losses,
-    }))
+    Some(TrainedWorld::new(world, trace, record.base_losses))
 }
 
 /// The builder side of [`obtain_world`]: world construction, one
@@ -1096,11 +1120,7 @@ fn build_and_train(job: &Arc<Job>, scenario: &Scenario) -> Result<Arc<TrainedWor
         let oracle = world.oracle(&trace);
         oracle.base_losses().to_vec()
     };
-    Ok(Arc::new(TrainedWorld {
-        world,
-        trace,
-        base_losses,
-    }))
+    Ok(TrainedWorld::new(world, trace, base_losses))
 }
 
 fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
@@ -1146,6 +1166,9 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
     if let Some(tier) = spec.tier {
         oracle.set_tier(tier);
     }
+    // Attaching keys the cells by the fingerprint: take the world's
+    // memoized one rather than hashing the whole trace for every job.
+    trained.hand_fingerprint(&mut oracle);
     oracle.set_shared_cache(Arc::clone(&inner.cache));
     let progress_job = Arc::clone(job);
     let mut builder = ValuationSession::builder()
@@ -1399,6 +1422,95 @@ mod tests {
             "long job is checkpoint-cancelled"
         );
         assert_eq!(job.wait(), JobStatus::Cancelled);
+    }
+
+    /// A manager over the global pool with a private in-memory cache.
+    fn memory_manager() -> JobManager {
+        JobManager::with_pool_and_cache(PoolHandle::Global, CellCache::in_memory(64 << 20))
+    }
+
+    /// The one trained world `manager` memoized, with its fingerprints.
+    fn memoized_world(
+        manager: &JobManager,
+    ) -> (Arc<TrainedWorld>, HashMap<DeterminismTier, Fingerprint>) {
+        let map = manager.inner.worlds.map.lock().unwrap();
+        let worlds: Vec<&Arc<TrainedWorld>> = map
+            .values()
+            .filter_map(|state| match state {
+                WorldState::Ready(world) => Some(world),
+                WorldState::Building => None,
+            })
+            .collect();
+        assert_eq!(worlds.len(), 1, "one world memoized");
+        let fingerprints = worlds[0].fingerprints.lock().unwrap().clone();
+        (Arc::clone(worlds[0]), fingerprints)
+    }
+
+    /// `world`'s oracle fingerprint at `tier`, hashed afresh.
+    fn fresh_fingerprint(world: &TrainedWorld, tier: DeterminismTier) -> Fingerprint {
+        UtilityOracle::with_base_losses(
+            &world.trace,
+            world.world.prototype.as_ref(),
+            &world.world.test,
+            world.base_losses.clone(),
+        )
+        .with_tier(tier)
+        .fingerprint()
+    }
+
+    fn value_bits(job: &Job) -> Vec<u64> {
+        let report = job.report().expect("report");
+        report.values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn second_job_on_a_memoized_world_reuses_its_fingerprint() {
+        let manager = memory_manager();
+        let spec = tiny_spec("comfedsv-mc");
+        let first = manager.submit(spec.clone()).unwrap();
+        assert_eq!(first.wait(), JobStatus::Done);
+        let (world, memo) = memoized_world(&manager);
+        let tier = DeterminismTier::default_tier();
+        assert_eq!(memo.len(), 1, "{memo:?}");
+        assert_eq!(memo[&tier], fresh_fingerprint(&world, tier));
+
+        let second = manager.submit(spec).unwrap();
+        assert_eq!(second.wait(), JobStatus::Done);
+        let (cold, warm) = (first.cache_info().unwrap(), second.cache_info().unwrap());
+        assert!(warm.world_reused);
+        // The handed fingerprint keys the same cells: all hits.
+        assert_eq!(warm.cells_computed, 0);
+        assert_eq!(warm.cell_hits, cold.cells_computed);
+        assert_eq!(value_bits(&second), value_bits(&first));
+        assert_eq!(memoized_world(&manager).1, memo, "nothing re-hashed");
+    }
+
+    #[test]
+    fn fast_tier_job_on_a_default_tier_world_hashes_its_own_fingerprint() {
+        let mut fast = tiny_spec("comfedsv-mc");
+        fast.tier = Some(DeterminismTier::Fast);
+        let solo = memory_manager().submit(fast.clone()).unwrap();
+        assert_eq!(solo.wait(), JobStatus::Done);
+
+        let manager = memory_manager();
+        let default_job = manager.submit(tiny_spec("comfedsv-mc")).unwrap();
+        assert_eq!(default_job.wait(), JobStatus::Done);
+        let fast_job = manager.submit(fast).unwrap();
+        assert_eq!(fast_job.wait(), JobStatus::Done);
+        assert!(fast_job.cache_info().unwrap().world_reused);
+        assert_eq!(value_bits(&fast_job), value_bits(&solo));
+
+        let (world, memo) = memoized_world(&manager);
+        let default_tier = DeterminismTier::default_tier();
+        for tier in [default_tier, DeterminismTier::Fast] {
+            assert_eq!(memo[&tier], fresh_fingerprint(&world, tier), "{tier:?}");
+        }
+        let tiers = if default_tier == DeterminismTier::Fast {
+            1
+        } else {
+            2
+        };
+        assert_eq!(memo.len(), tiers, "{memo:?}");
     }
 
     #[test]

@@ -210,12 +210,13 @@ impl ComFedSv {
                 for round in 0..t {
                     plan.add_subsets_of(round, oracle.trace().selected(round));
                 }
-                oracle.try_evaluate_plan(&plan, ctx.cancel_token())?;
+                let values = oracle.try_evaluate_plan(&plan, ctx.cancel_token())?;
                 let mut problem = CompletionProblem::new(t);
                 problem.add_observations(
                     plan.cells()
                         .iter()
-                        .map(|&(round, s)| (round, s.bits(), oracle.utility(round, s))),
+                        .zip(values)
+                        .map(|(&(round, s), v)| (round, s.bits(), v)),
                 );
                 // Register the full coalition space so Definition 4's sum sees
                 // a factor row for every subset.
@@ -270,7 +271,7 @@ impl ComFedSv {
                         }
                     }
                 }
-                oracle.try_evaluate_plan(&plan, ctx.cancel_token())?;
+                let values = oracle.try_evaluate_plan(&plan, ctx.cancel_token())?;
                 let mut problem = CompletionProblem::new(t);
                 for &p in &prefixes {
                     problem.ensure_column(p.bits());
@@ -278,7 +279,8 @@ impl ComFedSv {
                 problem.add_observations(
                     plan.cells()
                         .iter()
-                        .map(|&(round, p)| (round, p.bits(), oracle.utility(round, p))),
+                        .zip(values)
+                        .map(|(&(round, p), v)| (round, p.bits(), v)),
                 );
 
                 let completion = complete_with_context(self.name(), completer, &problem, ctx)?;

@@ -157,6 +157,57 @@ fn exact_valuator_matches_legacy_ground_truth_bitwise() {
     assert_pinned(&["exact"]);
 }
 
+/// `(seed, method, cells_evaluated, cell_hits)` of ComFedSV-MC on a
+/// fresh oracle, then ComFedSV (exact) and ComFedSV-MC again on the
+/// same oracle (cold, partially warm, fully warm), per [`PINNED`]
+/// world: the cost counters a valuation reports, pinned so a change to
+/// how the pipeline reads its cells cannot move them.
+const PINNED_COUNTS: [(u64, &str, u64, u64); 15] = [
+    (1, "comfedsv-mc", 49, 0),
+    (1, "comfedsv", 3, 49),
+    (1, "comfedsv-mc", 0, 49),
+    (7, "comfedsv-mc", 50, 0),
+    (7, "comfedsv", 2, 50),
+    (7, "comfedsv-mc", 0, 50),
+    (11, "comfedsv-mc", 48, 0),
+    (11, "comfedsv", 4, 48),
+    (11, "comfedsv-mc", 0, 48),
+    (21, "comfedsv-mc", 51, 0),
+    (21, "comfedsv", 1, 51),
+    (21, "comfedsv-mc", 0, 51),
+    (42, "comfedsv-mc", 52, 0),
+    (42, "comfedsv", 0, 52),
+    (42, "comfedsv-mc", 0, 52),
+];
+
+#[test]
+fn comfedsv_cell_counts_match_their_pinned_rows() {
+    let mut actual = Vec::new();
+    for seed in SEEDS {
+        let (world, trace) = pinned_world(seed);
+        // The oracle's tier is the session's, so the session values on
+        // it rather than on a fresh-cache clone under any `FEDVAL_TIER`.
+        let oracle = world.oracle(&trace).with_tier(DeterminismTier::BitExact);
+        let mut session = ValuationSession::builder()
+            .rank(3)
+            .permutations(30)
+            .seed(seed)
+            .tier(DeterminismTier::BitExact)
+            .build();
+        for name in ["comfedsv-mc", "comfedsv", "comfedsv-mc"] {
+            let d = session.run(name, &oracle).unwrap().diagnostics;
+            actual.push((seed, name, d.cells_evaluated, d.cell_hits));
+        }
+    }
+    let table: String = actual
+        .iter()
+        .map(|(seed, name, evaluated, hits)| {
+            format!("    ({seed}, \"{name}\", {evaluated}, {hits}),\n")
+        })
+        .collect();
+    assert_eq!(actual, PINNED_COUNTS, "this run's rows:\n{table}");
+}
+
 fn seeded_world() -> (World, TrainingTrace) {
     let world = ExperimentBuilder::synthetic(true)
         .num_clients(6)

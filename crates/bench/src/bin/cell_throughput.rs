@@ -27,7 +27,13 @@
 //! * `mlp_cell_loss` — repeated test-set loss evaluations (exactly what
 //!   a utility-oracle cell costs), samples/sec likewise;
 //! * `logistic_cell_loss` — the same for perfbench's cell (a logistic
-//!   model, d=60, C=10, 160 test rows): the cold job's hot loop.
+//!   model, d=60, C=10, 160 test rows): the cold job's hot loop;
+//! * `logistic_epilogue` — that cell's loss epilogue alone, the row
+//!   reductions over its 160 × 10 logits: the per-row
+//!   `vector::log_sum_exp` loop against `vector::cross_entropy_rows`
+//!   (one row per `f64` lane), asserted bit-identical. Reported, not
+//!   gated. The epilogue is the same in both tiers, so it has no `fast`
+//!   row.
 //!
 //! Output: an aligned table on stdout and machine-readable JSON written
 //! to `target/BENCH_cell_throughput.json` (schema documented in the
@@ -60,6 +66,8 @@ const MIN_BATCHED_SPEEDUP: f64 = 1.2;
 
 /// The cases the speed gate covers. `cnn_train` is reported but not
 /// gated: its batched path runs at about the per-sample speed.
+/// `logistic_epilogue` is reported only: it times one kernel of the
+/// gated `logistic_cell_loss`.
 const GATED_CASES: [&str; 4] = [
     "mlp_train",
     "logistic_train",
@@ -245,7 +253,7 @@ fn compare_against_committed(measurements: &[Measurement], baseline_path: &str) 
     println!(
         "\n== vs committed {baseline_path} (current ÷ committed samples/sec; informational, not gated) =="
     );
-    let mut matched = 0usize;
+    let mut matched = Vec::new();
     for row in baseline.lines().filter(|l| l.contains("\"case\"")) {
         let (Some(case), Some(path)) = (scan_str(row, "case"), scan_str(row, "path")) else {
             continue;
@@ -258,7 +266,7 @@ fn compare_against_committed(measurements: &[Measurement], baseline_path: &str) 
             .iter()
             .find(|m| m.case == case && m.path == path && m.tier == tier)
         {
-            matched += 1;
+            matched.push((m.case, m.path, m.tier));
             println!(
                 "{:>18}  {:>12}  {:>9}  {:>6.2}x  ({:.0} vs {:.0})",
                 case,
@@ -270,8 +278,16 @@ fn compare_against_committed(measurements: &[Measurement], baseline_path: &str) 
             );
         }
     }
-    if matched == 0 {
+    if matched.is_empty() {
         println!("(no comparable rows found in the committed baseline)");
+    }
+    for m in measurements {
+        if !matched.contains(&(m.case, m.path, m.tier)) {
+            println!(
+                "{:>18}  {:>12}  {:>9}  (no committed row)",
+                m.case, m.path, m.tier
+            );
+        }
     }
 }
 
@@ -330,6 +346,63 @@ fn push_loss_case<M: Model>(
             path,
             tier,
             samples: data.len(),
+            passes: reps,
+            seconds,
+            checksum: acc.to_bits(),
+        });
+    }
+}
+
+/// Times `reps` evaluations of one cell's loss epilogue over row-major
+/// `logits` two ways: the per-row loop of the per-sample path and the
+/// row-per-lane [`vector::cross_entropy_rows`] of the batched one.
+/// Asserts the sums bit-identical.
+fn push_epilogue_case(
+    out: &mut Vec<Measurement>,
+    case: &'static str,
+    logits: &[f64],
+    labels: &[usize],
+    reps: usize,
+) {
+    let classes = logits.len() / labels.len();
+    let mut secs_rows = f64::INFINITY;
+    let mut secs_lanes = f64::INFINITY;
+    let mut acc_rows = 0.0;
+    let mut acc_lanes = 0.0;
+    for _ in 0..REPS {
+        let t0 = Instant::now();
+        acc_rows = 0.0;
+        for _ in 0..reps {
+            let logits = std::hint::black_box(logits);
+            let mut total = 0.0;
+            for (row, &y) in logits.chunks_exact(classes).zip(labels) {
+                total += vector::log_sum_exp(row) - row[y];
+            }
+            acc_rows += total;
+        }
+        secs_rows = secs_rows.min(t0.elapsed().as_secs_f64());
+        let t0 = Instant::now();
+        acc_lanes = 0.0;
+        for _ in 0..reps {
+            let logits = std::hint::black_box(logits);
+            acc_lanes += vector::cross_entropy_rows(logits, classes, labels, 0.0);
+        }
+        secs_lanes = secs_lanes.min(t0.elapsed().as_secs_f64());
+    }
+    assert_eq!(
+        acc_rows.to_bits(),
+        acc_lanes.to_bits(),
+        "{case}: the row-per-lane epilogue diverged from the per-row loop"
+    );
+    for (path, seconds, acc) in [
+        ("per_sample", secs_rows, acc_rows),
+        ("batched", secs_lanes, acc_lanes),
+    ] {
+        out.push(Measurement {
+            case,
+            path,
+            tier: "bit_exact",
+            samples: labels.len(),
             passes: reps,
             seconds,
             checksum: acc.to_bits(),
@@ -409,12 +482,30 @@ fn main() {
     // (d=60, C=10, 160 test rows), so every cell's logits are one narrow
     // 160×60×10 BitExact GEMM.
     let cell_test = synthetic(160, 60, 10, 3);
+    let cell_model = LogisticRegression::new(60, 10, 0.01, 7);
     push_loss_case(
         &mut measurements,
         "logistic_cell_loss",
-        &LogisticRegression::new(60, 10, 0.01, 7),
+        &cell_model,
         LogisticRegression::loss_per_sample,
         &cell_test,
+        passes * 100,
+    );
+
+    // That cell's loss epilogue alone, on the model's 160 × 10 logits
+    // (`W x + b` per row, from the parameter layout `[W; b]`).
+    let (w, b) = cell_model.params().split_at(10 * 60);
+    let cell_logits: Vec<f64> = (0..cell_test.len())
+        .flat_map(|r| {
+            let x = cell_test.example(r).0;
+            (0..10).map(move |k| vector::dot(x, &w[k * 60..(k + 1) * 60]) + b[k])
+        })
+        .collect();
+    push_epilogue_case(
+        &mut measurements,
+        "logistic_epilogue",
+        &cell_logits,
+        cell_test.labels(),
         passes * 100,
     );
 
@@ -457,24 +548,24 @@ fn main() {
         measurements
             .iter()
             .find(|m| m.case == case && m.path == path && m.tier == tier)
-            .expect("all three paths measured")
     };
-    let mut speedups: Vec<(String, f64, f64)> = Vec::new();
+    let mut speedups: Vec<(String, f64, Option<f64>)> = Vec::new();
     println!();
     for case in &cases {
-        let per_sample = find(case, "per_sample", "bit_exact");
-        let exact = find(case, "batched", "bit_exact");
-        let fast = find(case, "batched", "fast");
+        let per_sample = find(case, "per_sample", "bit_exact").expect("every case has both");
+        let exact = find(case, "batched", "bit_exact").expect("every case has both");
         let speedup = exact.samples_per_sec() / per_sample.samples_per_sec().max(1e-12);
-        let speedup_fast = fast.samples_per_sec() / per_sample.samples_per_sec().max(1e-12);
+        let speedup_fast = find(case, "batched", "fast")
+            .map(|fast| fast.samples_per_sec() / per_sample.samples_per_sec().max(1e-12));
         let gate = if GATED_CASES.contains(case) {
             format!("gated: >= {MIN_BATCHED_SPEEDUP}x")
         } else {
             "not gated".to_string()
         };
+        let fast = speedup_fast.map_or(String::new(), |x| format!(", fast {x:.2}x (within ε)"));
         println!(
-            "{case}: batched bit_exact {speedup:.2}x (bit-identical; {gate}), fast \
-             {speedup_fast:.2}x (within ε) the per-sample path"
+            "{case}: batched bit_exact {speedup:.2}x (bit-identical; {gate}){fast} the \
+             per-sample path"
         );
         speedups.push((case.to_string(), speedup, speedup_fast));
     }
@@ -510,7 +601,9 @@ fn main() {
     w.end_object();
     w.begin_object_field_compact("speedup_fast");
     for (case, _, speedup_fast) in &speedups {
-        w.num_field(case, *speedup_fast);
+        if let Some(speedup_fast) = speedup_fast {
+            w.num_field(case, *speedup_fast);
+        }
     }
     w.end_object();
     w.end_object();

@@ -86,6 +86,9 @@ struct StoreInner {
     /// Second-chance sweep order; stale keys (already evicted) are
     /// dropped lazily as the hand reaches them.
     queue: VecDeque<CellKey>,
+    /// How many entries are `dirty`, so a drain with nothing to write
+    /// returns without a scan.
+    dirty_cells: usize,
     evictions: u64,
     abandoned: u64,
 }
@@ -114,6 +117,7 @@ impl CellStore {
             inner: Mutex::new(StoreInner {
                 map: HashMap::new(),
                 queue: VecDeque::new(),
+                dirty_cells: 0,
                 evictions: 0,
                 abandoned: 0,
             }),
@@ -172,10 +176,12 @@ impl CellStore {
     /// value is re-inserted so the work is not lost. Returns dirty
     /// cells evicted by the post-completion budget check.
     pub fn mark_complete(&self, key: CellKey, value: f64) -> Vec<(CellKey, f64)> {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
         match inner.map.get_mut(&key) {
             Some(entry) => {
                 entry.complete = true;
+                inner.dirty_cells += usize::from(!entry.dirty);
                 entry.dirty = true;
             }
             None => {
@@ -189,9 +195,10 @@ impl CellStore {
                     },
                 );
                 inner.queue.push_back(key);
+                inner.dirty_cells += 1;
             }
         }
-        self.enforce_budget(&mut inner)
+        self.enforce_budget(inner)
     }
 
     /// Inserts a cell loaded from disk (clean: never re-spilled). An
@@ -217,9 +224,14 @@ impl CellStore {
     /// still drained — completed slots are only ever read-locked, and
     /// any write-lock holder is a raced evaluator about to observe
     /// `Some` and release, so the read below blocks at most briefly.
+    /// With no dirty cell, as after a job that only hit, it returns
+    /// without scanning the store.
     pub fn drain_dirty(&self) -> Vec<(CellKey, f64)> {
         let mut inner = self.inner.lock();
         let mut out = Vec::new();
+        if inner.dirty_cells == 0 {
+            return out;
+        }
         let keys: Vec<CellKey> = inner
             .map
             .iter()
@@ -233,6 +245,7 @@ impl CellStore {
                 out.push((key, value));
             }
         }
+        inner.dirty_cells -= out.len();
         out
     }
 
@@ -296,6 +309,7 @@ impl CellStore {
             // Unpinned and unreferenced: evict. strong_count == 1 means
             // nobody can hold the lock, so this read never blocks.
             let entry = inner.map.remove(&key).expect("entry checked above");
+            inner.dirty_cells -= usize::from(entry.dirty);
             let value = *entry.slot.read();
             match value {
                 Some(value) => {
@@ -393,6 +407,95 @@ mod tests {
         assert!(store.drain_dirty().is_empty(), "second drain must be empty");
     }
 
+    /// What the drain found before it kept a count: every resident
+    /// complete, dirty entry holding a value, by a scan of the store.
+    fn scanned_dirty(store: &CellStore) -> Vec<(CellKey, f64)> {
+        let inner = store.inner.lock();
+        let mut out: Vec<(CellKey, f64)> = inner
+            .map
+            .iter()
+            .filter(|(_, e)| e.complete && e.dirty)
+            .filter_map(|(k, e)| e.slot.read().map(|v| (*k, v)))
+            .collect();
+        assert_eq!(
+            inner.dirty_cells,
+            inner.map.values().filter(|e| e.dirty).count(),
+            "the dirty count must match the entries"
+        );
+        out.sort_by_key(|(k, _)| (k.round, k.subset));
+        out
+    }
+
+    fn sorted(mut cells: Vec<(CellKey, f64)>) -> Vec<(CellKey, f64)> {
+        cells.sort_by_key(|(k, _)| (k.round, k.subset));
+        cells
+    }
+
+    #[test]
+    fn a_drain_after_a_fully_warm_job_is_empty() {
+        let store = CellStore::with_capacity_cells(4096);
+        let keys: Vec<CellKey> = (0..3510).map(|i| key(i / 90, i as u64 % 90)).collect();
+        for (i, &k) in keys.iter().enumerate() {
+            complete(&store, k, i as f64);
+        }
+        assert_eq!(
+            store.drain_dirty().len(),
+            keys.len(),
+            "the cold job's flush"
+        );
+        // The warm job: every cell hits.
+        for &k in &keys {
+            let (_slot, state, spill) = store.slot(k);
+            assert_eq!(state, SlotState::Complete);
+            assert!(spill.is_empty());
+        }
+        assert!(store.drain_dirty().is_empty());
+        assert_eq!(store.inner.lock().dirty_cells, 0);
+    }
+
+    #[test]
+    fn mixed_puts_hits_and_evictions_drain_what_a_scan_finds() {
+        let store = CellStore::with_capacity_cells(16);
+        let mut pinned = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut drained_cells = 0;
+        for step in 0..4000 {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            let k = key((state >> 40) as u32 % 3, (state >> 20) % 20);
+            let value = f64::from(k.round) * 100.0 + k.subset as f64;
+            match (state >> 60) % 8 {
+                0..=2 => {
+                    complete(&store, k, value);
+                }
+                3 | 4 => {
+                    store.slot(k);
+                }
+                5 => {
+                    store.insert_clean(k, value);
+                }
+                6 => {
+                    // An in-flight reservation, held for a while.
+                    pinned.push(store.slot(k).0);
+                    if pinned.len() > 3 {
+                        pinned.remove(0);
+                    }
+                }
+                _ => {
+                    let want = scanned_dirty(&store);
+                    let got = sorted(store.drain_dirty());
+                    assert_eq!(got, want, "step {step}");
+                    drained_cells += got.len();
+                    assert!(store.drain_dirty().is_empty(), "step {step}: drained twice");
+                }
+            }
+            scanned_dirty(&store);
+        }
+        assert!(drained_cells > 100, "the sequence must drain cells");
+        assert!(store.evictions() > 100, "the sequence must evict");
+    }
+
     #[test]
     fn abandoned_reservations_are_dropped_not_counted_as_evictions() {
         let store = CellStore::with_capacity_cells(1);
@@ -420,5 +523,9 @@ mod tests {
         let (slot, state, _) = store.slot(key(0, 1));
         assert_eq!(state, SlotState::Complete);
         assert_eq!(*slot.read(), Some(3.0));
+        // The re-inserted cell is dirty, and the drain finds it.
+        let want = scanned_dirty(&store);
+        assert!(want.contains(&(key(0, 1), 3.0)));
+        assert_eq!(sorted(store.drain_dirty()), want);
     }
 }

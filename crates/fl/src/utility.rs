@@ -493,6 +493,31 @@ impl<'a> UtilityOracle<'a> {
         clone
     }
 
+    /// A clone of this oracle with its evaluations pinned to `tier`
+    /// that keeps this oracle's cell cache. Cell keys carry the tier, so
+    /// the clone's cells never mix with this oracle's, and successive
+    /// clones at one tier share theirs. The base losses are re-evaluated
+    /// (counted) at `tier` as in [`Self::set_tier`]; the call and hit
+    /// counters start at zero.
+    pub fn retiered(&self, tier: DeterminismTier) -> UtilityOracle<'a> {
+        let mut clone = UtilityOracle {
+            cache: Arc::clone(&self.cache),
+            key_trace: self.key_trace,
+            fingerprint: self.fingerprint.clone(),
+            pool: self.pool.clone(),
+            parallelism: self.parallelism,
+            ..Self::from_parts(
+                self.trace,
+                self.test_data,
+                &*self.prototype,
+                self.base_losses.clone(),
+                self.tier,
+            )
+        };
+        clone.set_tier(tier);
+        clone
+    }
+
     /// The trace this oracle reads.
     pub fn trace(&self) -> &TrainingTrace {
         self.trace
@@ -1068,6 +1093,29 @@ mod tests {
             late.evaluate_plan(&plan);
             assert_eq!(late.cell_hits(), plan.len() as u64, "{tier:?}");
         }
+    }
+
+    #[test]
+    fn retiered_clones_share_the_cache_under_their_own_tier() {
+        let (trace, proto, test) = setup();
+        let bits = |values: &[f64]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let exact = UtilityOracle::new(&trace, &proto, &test).with_tier(DeterminismTier::BitExact);
+        let plan = full_plan(trace.num_rounds(), 4);
+        exact.evaluate_plan(&plan);
+        // The parent's BitExact cells are not the clone's.
+        let first = exact.retiered(DeterminismTier::Fast);
+        let values = first.evaluate_plan(&plan);
+        assert_eq!(first.cell_hits(), 0);
+        let fresh = exact.isolated_with_tier(DeterminismTier::Fast);
+        assert_eq!(bits(&values), bits(&fresh.evaluate_plan(&plan)));
+        // A second clone at that tier hits every cell the first computed,
+        // and the parent still hits its own.
+        let second = exact.retiered(DeterminismTier::Fast);
+        assert_eq!(bits(&second.evaluate_plan(&plan)), bits(&values));
+        assert_eq!(second.cell_hits(), plan.len() as u64);
+        let hits = exact.cell_hits();
+        exact.evaluate_plan(&plan);
+        assert_eq!(exact.cell_hits(), hits + plan.len() as u64);
     }
 
     #[test]

@@ -26,8 +26,19 @@
 //! The pack kernels are const-generic over the rank, 1–8, because a
 //! lane-major substitution only beats the scalar loop with its trip
 //! counts fixed at compile time; other ranks take the scalar path.
+//!
+//! **The fused op set.** `FusedLanes` is a second, separate op set that
+//! has fused multiply-add, on AVX2+FMA `__m256d` and on portable
+//! `[f64; 4]` with `f64::mul_add`. It carries glibc's `exp`, ported bit
+//! for bit, and the loss epilogue built on it (the `fused` module). A
+//! fused multiply-add rounds once in both instantiations, so they too
+//! give the same bits. The ridge kernels above never use it.
 
 use crate::Matrix;
+
+pub(crate) mod fused;
+
+pub(crate) use fused::FusedLanes;
 
 /// Solves one pack: `l` is the group's `R × R` factor (lower triangle
 /// read), `sequence` the rows of `other` the group observes, in entry

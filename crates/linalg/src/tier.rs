@@ -15,6 +15,31 @@
 //! `Workspace` → model kernels → `UtilityOracle` → `ValuationSession`,
 //! never stored in a global, so concurrent sessions sharing one worker
 //! pool can mix tiers safely.
+//!
+//! # The loss's `exp` is an algorithm, not the host's libm
+//!
+//! In both tiers the loss epilogue's `exp` (softmax and log-sum-exp, in
+//! [`vector`](crate::vector) and every model's batched and per-sample
+//! paths) is glibc's table-driven `exp` as built for x86-64 with FMA,
+//! ported bit for bit (the `lanes::fused` module). Its
+//! fused multiply-adds round once on every host, so its bits do not
+//! depend on the CPU or the libm. On glibc x86-64 hosts with FMA, where
+//! every pinned checksum was made, they also equal libm's `exp`.
+//!
+//! The other transcendental calls still go to the host's libm, so a
+//! host whose libm rounds differently can still move bits through them:
+//!
+//! * `ln` in the loss epilogue (`vector::log_sum_exp`,
+//!   `vector::cross_entropy_rows`);
+//! * `tanh` in `fedval_models`' MLP activation;
+//! * `ln`, `sin` and `cos` in `fedval_data`'s Gaussian sampler
+//!   (`randn.rs`), `ln` and `powf` in its Dirichlet partitioner
+//!   (`partition.rs`), and `powf` in its synthetic covariance
+//!   (`synthetic.rs`);
+//! * `exp` and `ln` in `fedval_shapley`'s observation weights
+//!   (`observation.rs`) and log-factorials (`coeffs.rs`), and `ln` in
+//!   the default sample counts (`pipeline.rs`, `fedsv.rs`,
+//!   `group_testing.rs`).
 
 use std::sync::OnceLock;
 
@@ -41,9 +66,12 @@ use std::sync::OnceLock;
 ///   addition, and the loss epilogue are element-wise and unchanged.
 ///
 /// Everything else — `add_bias_rows`, `col_sums_acc`, `vector::dot` /
-/// `axpy`, softmax/log-sum-exp, Cholesky/QR/SVD, the ALS matrix
-/// completion (its ridge Grams stay bit-exact on purpose), and all
-/// per-sample reference paths — is identical in both tiers.
+/// `axpy`, softmax/log-sum-exp and their row-per-lane forms
+/// (`vector::softmax_rows`, `vector::cross_entropy_rows`),
+/// Cholesky/QR/SVD, the ALS matrix completion (its ridge Grams stay
+/// bit-exact on purpose), and all per-sample reference paths — is
+/// identical in both tiers. The epilogue's `exp` is a fixed algorithm
+/// in both (see the module docs).
 ///
 /// `Fast` is still **deterministic**: the alternative reduction order is
 /// fixed and the kernel instantiation is chosen once per process

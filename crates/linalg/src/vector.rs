@@ -5,6 +5,8 @@
 //! every layer can keep its parameters as a flat `Vec<f64>` (which is what
 //! makes model averaging in FedAvg a one-liner).
 
+use crate::lanes::FusedLanes;
+
 /// Dot product of two equal-length slices.
 ///
 /// Panics in debug builds when lengths differ; in release the shorter length
@@ -118,13 +120,16 @@ pub fn argmax(a: &[f64]) -> usize {
     best
 }
 
-/// Numerically stable softmax, written into `out`.
+/// Numerically stable softmax, written into `out`. Its `exp` is
+/// glibc's algorithm, ported bit for bit (see
+/// [`tier`](crate::tier)), not the host's libm.
 pub fn softmax_into(logits: &[f64], out: &mut [f64]) {
     debug_assert_eq!(logits.len(), out.len());
+    let lanes = FusedLanes::detect();
     let m = logits.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b));
     let mut sum = 0.0;
     for (o, &l) in out.iter_mut().zip(logits) {
-        let e = (l - m).exp();
+        let e = lanes.exp(l - m);
         *o = e;
         sum += e;
     }
@@ -134,13 +139,30 @@ pub fn softmax_into(logits: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Numerically stable `log(Σ exp(a_i))`.
+/// Numerically stable `log(Σ exp(a_i))`. Its `exp` is glibc's
+/// algorithm, as in [`softmax_into`]; its `ln` is the host's libm.
 pub fn log_sum_exp(a: &[f64]) -> f64 {
     let m = a.iter().fold(f64::NEG_INFINITY, |x, &y| x.max(y));
     if m.is_infinite() {
         return m;
     }
-    m + a.iter().map(|&x| (x - m).exp()).sum::<f64>().ln()
+    let lanes = FusedLanes::detect();
+    m + a.iter().map(|&x| lanes.exp(x - m)).sum::<f64>().ln()
+}
+
+/// `total` plus, row by row in order, `log_sum_exp(row) − row[y]`: the
+/// summed cross-entropy of the row-major `logits` (`labels.len()` rows
+/// of `classes`) against `labels`, one row per `f64` lane. Bit-identical
+/// to that loop over [`log_sum_exp`].
+pub fn cross_entropy_rows(logits: &[f64], classes: usize, labels: &[usize], total: f64) -> f64 {
+    FusedLanes::detect().cross_entropy_rows(logits, classes, labels, total)
+}
+
+/// [`softmax_into`] on every row of the row-major `logits` (rows of
+/// `classes`), into the same place in `out`, one row per `f64` lane.
+/// Bit-identical to the row loop.
+pub fn softmax_rows(logits: &[f64], classes: usize, out: &mut [f64]) {
+    FusedLanes::detect().softmax_rows(logits, classes, out);
 }
 
 #[cfg(test)]

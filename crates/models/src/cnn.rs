@@ -8,7 +8,7 @@
 
 use crate::init::xavier_fill;
 use crate::traits::Model;
-use crate::workspace::{check, chunks, Workspace};
+use crate::workspace::{check, chunks, softmax_delta, Workspace};
 use fedval_data::Dataset;
 #[cfg(target_arch = "x86_64")]
 use fedval_linalg::KernelIsa;
@@ -765,10 +765,12 @@ impl Cnn {
                     gemm_scratch,
                 );
             }
-            for (r, &y) in labels[start..end].iter().enumerate() {
-                let row = logits[0].row(r);
-                total += vector::log_sum_exp(row) - row[y];
-            }
+            total = vector::cross_entropy_rows(
+                logits[0].as_slice(),
+                self.config.num_classes,
+                &labels[start..end],
+                total,
+            );
         }
         Ok(total / data.len() as f64 + self.reg_term())
     }
@@ -834,17 +836,8 @@ impl Cnn {
             self.forward_chunk(x, rows, conv, pooled, logits, gemm_scratch);
             // coeff row = (softmax(logits) − onehot(y)) · inv_n — the
             // per-sample code's `delta_c`, including the scaling.
-            coeff.resize_for_overwrite(rows, classes);
-            for (r, &y) in labels[start..end].iter().enumerate() {
-                let lrow = logits.row(r);
-                total += vector::log_sum_exp(lrow) - lrow[y];
-                let crow = coeff.row_mut(r);
-                vector::softmax_into(lrow, crow);
-                crow[y] -= 1.0;
-                for v in crow {
-                    *v *= inv_n;
-                }
-            }
+            total = softmax_delta(logits, &labels[start..end], coeff, total);
+            coeff.as_mut_slice().iter_mut().for_each(|v| *v *= inv_n);
             // Dense head: W += coeffᵀ · pooled, bias += column sums.
             gemm::gemm_tn_acc_tiered(
                 coeff.as_slice(),
@@ -915,18 +908,8 @@ impl Cnn {
         self.forward_chunk_fast(x, rows, conv, pooled, logits, gemm_scratch);
         // coeff row = (softmax(logits) − onehot(y)) · inv_n, as in the
         // BitExact chunk body.
-        let mut total = 0.0;
-        coeff.resize_for_overwrite(rows, classes);
-        for (r, &y) in labels.iter().enumerate() {
-            let lrow = logits.row(r);
-            total += vector::log_sum_exp(lrow) - lrow[y];
-            let crow = coeff.row_mut(r);
-            vector::softmax_into(lrow, crow);
-            crow[y] -= 1.0;
-            for v in crow {
-                *v *= inv_n;
-            }
-        }
+        let total = softmax_delta(logits, labels, coeff, 0.0);
+        coeff.as_mut_slice().iter_mut().for_each(|v| *v *= inv_n);
         // Dense head: W += coeffᵀ · pooled, bias += column sums.
         gemm::gemm_tn_acc_tiered(
             coeff.as_slice(),

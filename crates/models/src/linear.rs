@@ -7,7 +7,7 @@
 
 use crate::init::xavier_fill;
 use crate::traits::Model;
-use crate::workspace::{check, chunks, Workspace};
+use crate::workspace::{check, chunks, softmax_delta, Workspace};
 use fedval_data::Dataset;
 use fedval_linalg::{gemm, vector, DeterminismTier};
 use fedval_runtime::{CancelToken, Cancelled};
@@ -135,10 +135,12 @@ impl LogisticRegression {
                 gemm_scratch,
                 tier,
             );
-            for (r, &y) in labels[start..end].iter().enumerate() {
-                let row = bufs[0].row(r);
-                total += vector::log_sum_exp(row) - row[y];
-            }
+            total = vector::cross_entropy_rows(
+                bufs[0].as_slice(),
+                self.num_classes,
+                &labels[start..end],
+                total,
+            );
         }
         Ok(total / data.len() as f64 + self.reg_term())
     }
@@ -173,18 +175,9 @@ impl LogisticRegression {
                 (&mut a[0], &mut b[0])
             };
             self.logits_chunk(x, rows, logits, gemm_scratch, tier);
-            coeff.resize_for_overwrite(rows, c);
-            for (r, &y) in labels[start..end].iter().enumerate() {
-                let lrow = logits.row(r);
-                total += vector::log_sum_exp(lrow) - lrow[y];
-                // coeff row = (softmax(logits) − onehot(y)) · inv_n.
-                let crow = coeff.row_mut(r);
-                vector::softmax_into(lrow, crow);
-                crow[y] -= 1.0;
-                for v in crow {
-                    *v *= inv_n;
-                }
-            }
+            // coeff row = (softmax(logits) − onehot(y)) · inv_n.
+            total = softmax_delta(logits, &labels[start..end], coeff, total);
+            coeff.as_mut_slice().iter_mut().for_each(|v| *v *= inv_n);
             // W += coeffᵀ X, bias += column sums — sample-ascending
             // accumulation, bit-identical to the per-sample axpy loop in
             // the BitExact tier.

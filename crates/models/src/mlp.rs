@@ -6,7 +6,7 @@
 
 use crate::init::xavier_fill;
 use crate::traits::Model;
-use crate::workspace::{check, chunks, Workspace};
+use crate::workspace::{check, chunks, softmax_delta, Workspace};
 use fedval_data::Dataset;
 use fedval_linalg::{gemm, vector, DeterminismTier, Matrix};
 use fedval_runtime::{CancelToken, Cancelled};
@@ -217,10 +217,12 @@ impl Mlp {
                 tier,
             );
             let logits = &acts[nl - 1];
-            for (r, &y) in labels[start..end].iter().enumerate() {
-                let row = logits.row(r);
-                total += vector::log_sum_exp(row) - row[y];
-            }
+            total = vector::cross_entropy_rows(
+                logits.as_slice(),
+                logits.cols(),
+                &labels[start..end],
+                total,
+            );
         }
         Ok(total / data.len() as f64 + self.reg_term())
     }
@@ -258,19 +260,8 @@ impl Mlp {
             let (delta, delta_prev, ds) = (&mut delta_buf[0], &mut prev_buf[0], &mut ds_buf[0]);
 
             self.forward_chunk(x, rows, acts, gemm_scratch, tier);
-            let classes = *self.sizes.last().expect("validated at construction");
-            delta.resize_for_overwrite(rows, classes);
-            {
-                let logits = &acts[nl - 1];
-                for (r, &y) in labels[start..end].iter().enumerate() {
-                    let lrow = logits.row(r);
-                    total += vector::log_sum_exp(lrow) - lrow[y];
-                    // delta row = softmax(logits) − onehot(y), unscaled.
-                    let drow = delta.row_mut(r);
-                    vector::softmax_into(lrow, drow);
-                    drow[y] -= 1.0;
-                }
-            }
+            // delta row = softmax(logits) − onehot(y), unscaled.
+            total = softmax_delta(&acts[nl - 1], &labels[start..end], delta, total);
 
             for li in (0..nl).rev() {
                 let s = &self.shapes[li];

@@ -14,7 +14,7 @@
 //! what lets a cancelled valuation stop *inside* a utility cell instead
 //! of finishing an arbitrarily large model evaluation first.
 
-use fedval_linalg::{gemm, DeterminismTier, Matrix};
+use fedval_linalg::{gemm, vector, DeterminismTier, Matrix};
 use fedval_runtime::{CancelToken, Cancelled};
 
 /// Rows per minibatch chunk of the batched kernels. Large enough that
@@ -116,6 +116,26 @@ pub(crate) fn check(cancel: Option<&CancelToken>) -> Result<(), Cancelled> {
         Some(token) => token.check(),
         None => Ok(()),
     }
+}
+
+/// A chunk's loss-and-gradient epilogue: returns `total` plus the rows'
+/// cross-entropy ([`vector::cross_entropy_rows`]) and writes each row's
+/// `softmax(logits) − onehot(y)` to `delta` ([`vector::softmax_rows`]),
+/// so per element the operations of the per-sample loops.
+pub(crate) fn softmax_delta(
+    logits: &Matrix,
+    labels: &[usize],
+    delta: &mut Matrix,
+    total: f64,
+) -> f64 {
+    let classes = logits.cols();
+    delta.resize_for_overwrite(labels.len(), classes);
+    let total = vector::cross_entropy_rows(logits.as_slice(), classes, labels, total);
+    vector::softmax_rows(logits.as_slice(), classes, delta.as_mut_slice());
+    for (row, &y) in delta.as_mut_slice().chunks_exact_mut(classes).zip(labels) {
+        row[y] -= 1.0;
+    }
+    total
 }
 
 /// The `[start, end)` minibatch chunks covering `n` examples, in

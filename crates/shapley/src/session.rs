@@ -189,10 +189,11 @@ impl ValuationSessionBuilder {
 
     /// Numeric tier every run of this session evaluates at. When set
     /// and different from the oracle's own tier, `run`/`run_all` value
-    /// against a fresh-cache
-    /// [`UtilityOracle::isolated_with_tier`] clone — cached cells from
-    /// another tier are never mixed into the run. Unset (the default),
-    /// runs evaluate at whatever tier the oracle carries.
+    /// against a [`UtilityOracle::retiered`] clone, which shares the
+    /// oracle's cache under cell keys of the session's tier: cells from
+    /// another tier are never mixed into the run, and consecutive runs
+    /// share their cells as they do at the oracle's own tier. Unset
+    /// (the default), runs evaluate at whatever tier the oracle carries.
     pub fn tier(mut self, tier: DeterminismTier) -> Self {
         self.tier = Some(tier);
         self
@@ -403,11 +404,12 @@ impl ValuationSession {
     }
 
     /// Runs an explicit valuator with this session's seed, progress
-    /// callback, cancellation token, ground-truth comparison, and —
-    /// when [`isolated_runs`](ValuationSessionBuilder::isolated_runs)
-    /// is set, or the session's
-    /// [`tier`](ValuationSessionBuilder::tier) differs from the
-    /// oracle's — a fresh oracle cache (retiered to the session tier).
+    /// callback, cancellation token and ground-truth comparison. With
+    /// [`isolated_runs`](ValuationSessionBuilder::isolated_runs) set it
+    /// values on a fresh-cache clone at the session's tier; otherwise,
+    /// when the session's [`tier`](ValuationSessionBuilder::tier)
+    /// differs from the oracle's, on a clone retiered to it that shares
+    /// the oracle's cache.
     pub fn run_valuator(
         &mut self,
         valuator: &dyn Valuator,
@@ -420,14 +422,16 @@ impl ValuationSession {
         if let Some(tier) = self.tier {
             ctx = ctx.with_tier(tier);
         }
-        // A tier override that disagrees with the oracle's tier forces
-        // a fresh-cache clone: the caller's oracle may hold cells
-        // computed at its own tier, and a run must never mix tiers
-        // within one result table.
-        let needs_retier = self.tier.is_some_and(|t| t != oracle.tier());
-        let isolated = (self.isolated_runs || needs_retier)
-            .then(|| oracle.isolated_with_tier(self.tier.unwrap_or(oracle.tier())));
-        let oracle = isolated.as_ref().unwrap_or(oracle);
+        // A tier override that disagrees with the oracle's tier values
+        // on a retiered clone. It keeps the oracle's cache: cell keys
+        // carry the tier, so the run never mixes tiers.
+        let tier = self.tier.unwrap_or(oracle.tier());
+        let clone = if self.isolated_runs {
+            Some(oracle.isolated_with_tier(tier))
+        } else {
+            (tier != oracle.tier()).then(|| oracle.retiered(tier))
+        };
+        let oracle = clone.as_ref().unwrap_or(oracle);
         let mut report = match self.progress.as_mut() {
             Some(cb) => valuator.value(oracle, &mut ctx.with_progress(&mut **cb))?,
             None => valuator.value(oracle, &mut ctx)?,

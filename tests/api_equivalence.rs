@@ -208,6 +208,45 @@ fn comfedsv_cell_counts_match_their_pinned_rows() {
     assert_eq!(actual, PINNED_COUNTS, "this run's rows:\n{table}");
 }
 
+/// A session pinned to another tier than its oracle's values on a
+/// clone that shares the oracle's cache, so consecutive methods share
+/// cells as they do at one tier: the rows are the same-tier rows, and
+/// the values equal a fresh-cache run's at that tier.
+#[test]
+fn a_retiered_session_shares_cells_between_methods() {
+    for seed in SEEDS {
+        let (world, trace) = pinned_world(seed);
+        let oracle = world.oracle(&trace).with_tier(DeterminismTier::BitExact);
+        let session = |isolated: bool| {
+            ValuationSession::builder()
+                .rank(3)
+                .permutations(30)
+                .seed(seed)
+                .tier(DeterminismTier::Fast)
+                .isolated_runs(isolated)
+                .build()
+        };
+        let mut shared = session(false);
+        let mut rows = Vec::new();
+        let mut values = Vec::new();
+        for name in ["comfedsv-mc", "comfedsv", "comfedsv-mc"] {
+            let report = shared.run(name, &oracle).unwrap();
+            let d = &report.diagnostics;
+            rows.push((seed, name, d.cells_evaluated, d.cell_hits));
+            values.push(report.values);
+        }
+        let pinned: Vec<_> = PINNED_COUNTS
+            .iter()
+            .filter(|r| r.0 == seed)
+            .copied()
+            .collect();
+        assert_eq!(rows, pinned);
+        let isolated = session(true).run("comfedsv", &oracle).unwrap().values;
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&values[1]), bits(&isolated), "seed {seed}");
+    }
+}
+
 fn seeded_world() -> (World, TrainingTrace) {
     let world = ExperimentBuilder::synthetic(true)
         .num_clients(6)

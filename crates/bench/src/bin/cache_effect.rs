@@ -155,19 +155,13 @@ fn main() {
     // In-process legs: per repetition, a fresh manager + cache
     // directory gives one cold run, then `warm_reps` warm repeats.
     let measure = |method: &str| {
-        let mut cold_ms = f64::INFINITY;
-        let mut warm_ms = f64::INFINITY;
-        let mut warm_hits = 0u64;
-        let mut cold_cells = 0u64;
-        for rep in 0..cold_reps {
+        smoke::min_of(cold_reps, |rep| {
             let dir = smoke::tmpdir("cache-effect", &format!("inproc-{method}-{rep}"));
             let manager = manager_with_dir(&dir);
             let cold = run_once(&manager, method);
             assert!(!cold.world_reused, "first job must train");
             assert!(cold.cells_computed > 0, "cold run must compute cells");
-            cold_ms = cold_ms.min(cold.run_ms);
-            cold_cells = cold.cells_computed;
-            for _ in 0..warm_reps {
+            let ([warm_ms], warm_hits) = smoke::min_of(warm_reps, |_| {
                 let warm = run_once(&manager, method);
                 assert!(warm.world_reused, "repeat job must reuse the world memo");
                 assert_eq!(warm.cells_computed, 0, "repeat job must recompute nothing");
@@ -176,16 +170,15 @@ fn main() {
                     value_checksum(&cold.values),
                     "warm values diverged from cold"
                 );
-                warm_ms = warm_ms.min(warm.run_ms);
-                warm_hits = warm.cell_hits;
-            }
+                ([warm.run_ms], warm.cell_hits)
+            });
             let _ = std::fs::remove_dir_all(&dir);
-        }
-        (cold_ms, warm_ms, warm_hits, cold_cells)
+            ([cold.run_ms, warm_ms], (warm_hits, cold.cells_computed))
+        })
     };
-    let (cold_ms, warm_ms, warm_hits, cold_cells) = measure("exact");
+    let ([cold_ms, warm_ms], (warm_hits, cold_cells)) = measure("exact");
     let speedup = cold_ms / warm_ms;
-    let (cfsv_cold_ms, cfsv_warm_ms, _, _) = measure("comfedsv");
+    let ([cfsv_cold_ms, cfsv_warm_ms], _) = measure("comfedsv");
     let cfsv_speedup = cfsv_cold_ms / cfsv_warm_ms;
     println!(
         "{:>22}  {:>10}  {:>10}  {:>9}",

@@ -49,13 +49,14 @@
 //! compare runs on different hosts and host phases, so they are
 //! informational and never fail.
 
-use fedval_bench::smoke::{value_checksum, SmokeArgs};
+use fedval_bench::smoke::{min_of, value_checksum, SmokeArgs};
 use fedval_data::Dataset;
 use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 use fedval_linalg::{vector, Matrix};
 use fedval_models::{
     optim::SgdScratch, Activation, Cnn, CnnConfig, DeterminismTier, LogisticRegression, Mlp, Model,
 };
+use fedval_runtime::CancelToken;
 use std::time::Instant;
 
 /// `--smoke` fails when a [`GATED_CASES`] case's batched BitExact path
@@ -161,6 +162,17 @@ fn train_batched(
 /// across repetitions anyway — training is deterministic per tier).
 const REPS: usize = 3;
 
+/// Times `reps` calls of `eval` and returns the seconds with the calls'
+/// sum, accumulated from `0.0` in call order.
+fn time_sum(reps: usize, mut eval: impl FnMut() -> f64) -> (f64, f64) {
+    let t0 = Instant::now();
+    let mut acc = 0.0;
+    for _ in 0..reps {
+        acc += eval();
+    }
+    (t0.elapsed().as_secs_f64(), acc)
+}
+
 fn push_train_case<M: Model + Clone>(
     out: &mut Vec<Measurement>,
     case: &'static str,
@@ -170,38 +182,15 @@ fn push_train_case<M: Model + Clone>(
     passes: usize,
 ) {
     let eta = 0.05;
-    let mut reference = proto.clone();
-    let mut exact = proto.clone();
-    let mut fast = proto.clone();
-    let mut secs_ref = f64::INFINITY;
-    let mut secs_exact = f64::INFINITY;
-    let mut secs_fast = f64::INFINITY;
-    for _ in 0..REPS {
-        reference = proto.clone();
-        secs_ref = secs_ref.min(train_per_sample(
-            &mut reference,
-            &grad_ref,
-            data,
-            eta,
-            passes,
-        ));
-        exact = proto.clone();
-        secs_exact = secs_exact.min(train_batched(
-            &mut exact,
-            data,
-            eta,
-            passes,
-            DeterminismTier::BitExact,
-        ));
-        fast = proto.clone();
-        secs_fast = secs_fast.min(train_batched(
-            &mut fast,
-            data,
-            eta,
-            passes,
-            DeterminismTier::Fast,
-        ));
-    }
+    let ([secs_ref, secs_exact, secs_fast], [reference, exact, fast]) = min_of(REPS, |_| {
+        let mut reference = proto.clone();
+        let secs_ref = train_per_sample(&mut reference, &grad_ref, data, eta, passes);
+        let mut exact = proto.clone();
+        let secs_exact = train_batched(&mut exact, data, eta, passes, DeterminismTier::BitExact);
+        let mut fast = proto.clone();
+        let secs_fast = train_batched(&mut fast, data, eta, passes, DeterminismTier::Fast);
+        ([secs_ref, secs_exact, secs_fast], [reference, exact, fast])
+    });
     let (ck_ref, ck_exact) = (
         value_checksum(reference.params()),
         value_checksum(exact.params()),
@@ -304,32 +293,21 @@ fn push_loss_case<M: Model>(
 ) {
     let mut ws_exact = fedval_models::Workspace::bit_exact();
     let mut ws_fast = fedval_models::Workspace::new().with_tier(DeterminismTier::Fast);
-    let mut secs_exact = f64::INFINITY;
-    let mut secs_fast = f64::INFINITY;
-    let mut secs_ref = f64::INFINITY;
-    let mut acc_exact = 0.0;
-    let mut acc_fast = 0.0;
-    let mut acc_ref = 0.0;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        acc_exact = 0.0;
-        for _ in 0..reps {
-            acc_exact += model.loss_with(data, &mut ws_exact);
-        }
-        secs_exact = secs_exact.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        acc_fast = 0.0;
-        for _ in 0..reps {
-            acc_fast += model.loss_with(data, &mut ws_fast);
-        }
-        secs_fast = secs_fast.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        acc_ref = 0.0;
-        for _ in 0..reps {
-            acc_ref += loss_ref(model, data);
-        }
-        secs_ref = secs_ref.min(t0.elapsed().as_secs_f64());
-    }
+    let never = CancelToken::new();
+    let loss_with = |ws: &mut fedval_models::Workspace| {
+        model
+            .loss_with(data, ws, &never)
+            .expect("a fresh token is never cancelled")
+    };
+    let ([secs_exact, secs_fast, secs_ref], [acc_exact, acc_fast, acc_ref]) = min_of(REPS, |_| {
+        let (secs_exact, acc_exact) = time_sum(reps, || loss_with(&mut ws_exact));
+        let (secs_fast, acc_fast) = time_sum(reps, || loss_with(&mut ws_fast));
+        let (secs_ref, acc_ref) = time_sum(reps, || loss_ref(model, data));
+        (
+            [secs_exact, secs_fast, secs_ref],
+            [acc_exact, acc_fast, acc_ref],
+        )
+    });
     assert_eq!(
         acc_ref.to_bits(),
         acc_exact.to_bits(),
@@ -365,30 +343,21 @@ fn push_epilogue_case(
     reps: usize,
 ) {
     let classes = logits.len() / labels.len();
-    let mut secs_rows = f64::INFINITY;
-    let mut secs_lanes = f64::INFINITY;
-    let mut acc_rows = 0.0;
-    let mut acc_lanes = 0.0;
-    for _ in 0..REPS {
-        let t0 = Instant::now();
-        acc_rows = 0.0;
-        for _ in 0..reps {
+    let ([secs_rows, secs_lanes], [acc_rows, acc_lanes]) = min_of(REPS, |_| {
+        let (secs_rows, acc_rows) = time_sum(reps, || {
             let logits = std::hint::black_box(logits);
             let mut total = 0.0;
             for (row, &y) in logits.chunks_exact(classes).zip(labels) {
                 total += vector::log_sum_exp(row) - row[y];
             }
-            acc_rows += total;
-        }
-        secs_rows = secs_rows.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        acc_lanes = 0.0;
-        for _ in 0..reps {
+            total
+        });
+        let (secs_lanes, acc_lanes) = time_sum(reps, || {
             let logits = std::hint::black_box(logits);
-            acc_lanes += vector::cross_entropy_rows(logits, classes, labels, 0.0);
-        }
-        secs_lanes = secs_lanes.min(t0.elapsed().as_secs_f64());
-    }
+            vector::cross_entropy_rows(logits, classes, labels, 0.0)
+        });
+        ([secs_rows, secs_lanes], [acc_rows, acc_lanes])
+    });
     assert_eq!(
         acc_rows.to_bits(),
         acc_lanes.to_bits(),

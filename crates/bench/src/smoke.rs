@@ -1,7 +1,7 @@
 //! Helpers shared by the gated smoke binaries (`cell_throughput`,
 //! `robustness`, `service_load`, `cache_effect`, `chaos`): flag
-//! parsing, the order-sensitive value checksum they compare runs by,
-//! and per-process scratch directories.
+//! parsing, min-of-N timing, the order-sensitive value checksum they
+//! compare runs by, and per-process scratch directories.
 
 use std::path::PathBuf;
 
@@ -40,6 +40,28 @@ impl SmokeArgs {
             out_path: flag_value(args, "--out").unwrap_or_else(|| default_out.to_string()),
         }
     }
+}
+
+/// Runs `run` `reps` times (`reps ≥ 1`, each call given its repetition
+/// index) and returns the element-wise minimum of the `K` timings each
+/// call reports, with the last call's output. The bins report the
+/// fastest of a few repetitions, which screens out scheduler noise on a
+/// busy host; a call that times several paths keeps them interleaved
+/// within each repetition.
+pub fn min_of<const K: usize, T>(
+    reps: usize,
+    mut run: impl FnMut(usize) -> ([f64; K], T),
+) -> ([f64; K], T) {
+    assert!(reps > 0, "min_of needs at least one repetition");
+    let (mut best, mut out) = run(0);
+    for rep in 1..reps {
+        let (times, next) = run(rep);
+        for (b, t) in best.iter_mut().zip(times) {
+            *b = b.min(t);
+        }
+        out = next;
+    }
+    (best, out)
 }
 
 /// Bitwise checksum of a value vector (order-sensitive XOR-rotate) —
@@ -81,6 +103,19 @@ mod tests {
 
         // A trailing flag with no value falls back to the default.
         assert_eq!(flag_value(&args(&["--out"]), "--out"), None);
+    }
+
+    #[test]
+    fn min_of_takes_each_timing_minimum_and_the_last_output() {
+        let times = [[3.0, 1.0], [2.0, 5.0], [4.0, 0.5]];
+        let mut seen = Vec::new();
+        let (best, last) = min_of(3, |rep| {
+            seen.push(rep);
+            (times[rep], rep)
+        });
+        assert_eq!(best, [2.0, 0.5]);
+        assert_eq!(last, 2);
+        assert_eq!(seen, [0, 1, 2]);
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //!    read lock. [`UtilityOracle::try_evaluate_plan`] is the
 //!    cancellable variant: a [`CancelToken`] is observed at cell
 //!    boundaries *and between minibatch chunks inside a cell* (the
-//!    batched model kernels check the workspace token every
+//!    token is handed to [`Model::loss_with`], which checks it every
 //!    `fedval_models::workspace::CHUNK_ROWS` examples), so even a huge
 //!    single evaluation stops promptly; a cell abandoned mid-evaluation
 //!    is left unset — not stored, not counted — and a retry resumes it.
@@ -165,27 +165,6 @@ impl CellScratch {
             aggregate: Vec::new(),
         }
     }
-}
-
-/// Fills `slot` exactly once with `compute`'s value, running `compute`
-/// under the cell's write lock (racing evaluators block, then observe
-/// the stored value — never recompute). Returns `Some(value)` when this
-/// call did the computing (callers notify the cache on that edge),
-/// `None` when the slot was already filled. When `compute` reports
-/// [`Cancelled`] — the workspace token fired *inside* the model's
-/// minibatch loops — the guard drops with the slot still `None`: the
-/// cell is not stored, not counted, and a retry recomputes it.
-fn init_cell(
-    slot: &CellSlot,
-    compute: impl FnOnce() -> Result<f64, Cancelled>,
-) -> Result<Option<f64>, Cancelled> {
-    let mut guard = slot.write();
-    if guard.is_none() {
-        let v = compute()?;
-        *guard = Some(v);
-        return Ok(Some(v));
-    }
-    Ok(None)
 }
 
 /// Evaluates `U_t(S)` against a recorded [`TrainingTrace`].
@@ -350,13 +329,17 @@ impl<'a> UtilityOracle<'a> {
     /// memoized fingerprint, which hashes the base losses.
     fn evaluate_base_losses(&mut self) {
         let scratch = self.scratch.get_mut();
+        let never = CancelToken::new();
         self.base_losses = self
             .trace
             .rounds
             .iter()
             .map(|r| {
                 scratch.model.set_params(&r.global_params);
-                scratch.model.loss_with(self.test_data, &mut scratch.ws)
+                scratch
+                    .model
+                    .loss_with(self.test_data, &mut scratch.ws, &never)
+                    .expect("a fresh token is never cancelled")
             })
             .collect();
         *self.calls.get_mut() += self.trace.num_rounds() as u64;
@@ -590,31 +573,39 @@ impl<'a> UtilityOracle<'a> {
         self.cache.slot(self.cell_key(cell)).0
     }
 
-    /// Tells the cache a cell now holds `value` (making it an evictable,
-    /// spillable resident). Callers must not hold the cell's lock: the
-    /// cache may evict (and read) other unpinned slots under its own
-    /// mutex.
-    fn note_complete(&self, cell: (usize, Subset), value: f64) {
-        self.cache.complete(self.cell_key(cell), value);
+    /// Fills `slot` exactly once with `compute`'s value and returns the
+    /// slot's value. `compute` runs under the cell's write lock, so
+    /// racing evaluators block, then observe the stored value — never
+    /// recompute. When `compute` reports [`Cancelled`] (the token fired
+    /// *inside* the model's minibatch loops) the guard drops with the
+    /// slot still empty: the cell is not stored, not counted, and a
+    /// retry recomputes it.
+    fn fill_cell(
+        &self,
+        cell: (usize, Subset),
+        slot: &CellSlot,
+        compute: impl FnOnce() -> Result<f64, Cancelled>,
+    ) -> Result<f64, Cancelled> {
+        let mut guard = slot.write();
+        if let Some(v) = *guard {
+            return Ok(v);
+        }
+        let v = compute()?;
+        *guard = Some(v);
+        // The cache completion, which makes the cell an evictable,
+        // spillable resident, runs after the cell lock is released: the
+        // cache may evict (and read) other unpinned slots under its own
+        // mutex, and must never see us holding a slot it manages.
+        drop(guard);
+        self.cache.complete(self.cell_key(cell), v);
+        Ok(v)
     }
 
     /// Evaluates one cell on the given scratch state: FedAvg aggregate
     /// into the reusable buffer, batched loss through the reusable
-    /// workspace. Counted on completion.
-    fn compute_cell(&self, scratch: &mut CellScratch, t: usize, s: Subset) -> f64 {
-        let found = self.trace.aggregate_into(t, s, &mut scratch.aggregate);
-        assert!(found, "non-empty subset aggregates");
-        scratch.model.set_params(&scratch.aggregate);
-        let loss = scratch.model.loss_with(self.test_data, &mut scratch.ws);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-        self.base_losses[t] - loss
-    }
-
-    /// [`compute_cell`](Self::compute_cell) observing `cancel` *inside*
-    /// the model's minibatch loss loops (between minibatch chunks). An
-    /// abandoned evaluation is not counted — the cell is simply left
-    /// uncomputed for a retry.
-    fn try_compute_cell(
+    /// workspace, observing `cancel` between minibatch chunks. Counted
+    /// on completion; an abandoned evaluation is not counted.
+    fn compute_cell(
         &self,
         scratch: &mut CellScratch,
         t: usize,
@@ -624,10 +615,9 @@ impl<'a> UtilityOracle<'a> {
         let found = self.trace.aggregate_into(t, s, &mut scratch.aggregate);
         assert!(found, "non-empty subset aggregates");
         scratch.model.set_params(&scratch.aggregate);
-        scratch.ws.set_cancel(Some(cancel.clone()));
-        let loss = scratch.model.try_loss_with(self.test_data, &mut scratch.ws);
-        scratch.ws.set_cancel(None);
-        let loss = loss?;
+        let loss = scratch
+            .model
+            .loss_with(self.test_data, &mut scratch.ws, cancel)?;
         self.calls.fetch_add(1, Ordering::Relaxed);
         Ok(self.base_losses[t] - loss)
     }
@@ -721,13 +711,9 @@ impl<'a> UtilityOracle<'a> {
             // deadlock against us holding scratch while waiting on the slot.
             for (_, (t, s), slot) in pending {
                 cancel.check()?;
-                let computed = init_cell(slot, || {
-                    let mut scratch = self.scratch.lock();
-                    self.try_compute_cell(&mut scratch, *t, *s, cancel)
+                self.fill_cell((*t, *s), slot, || {
+                    self.compute_cell(&mut self.scratch.lock(), *t, *s, cancel)
                 })?;
-                if let Some(v) = computed {
-                    self.note_complete((*t, *s), v);
-                }
             }
             // Trailing check mirrors the pooled path: cancellation during
             // the final cell reports Cancelled regardless of pool size.
@@ -741,11 +727,9 @@ impl<'a> UtilityOracle<'a> {
                 // A mid-cell cancellation leaves the slot unset; the
                 // pool observes the shared token at the next item
                 // boundary and reports Cancelled for the whole batch.
-                if let Ok(Some(v)) =
-                    init_cell(slot, || self.try_compute_cell(scratch, *t, *s, cancel))
-                {
-                    self.note_complete((*t, *s), v);
-                }
+                let _ = self.fill_cell((*t, *s), slot, || {
+                    self.compute_cell(scratch, *t, *s, cancel)
+                });
             },
             Some(cancel),
         )
@@ -769,20 +753,10 @@ impl<'a> UtilityOracle<'a> {
         }
         // Lock order: cell write lock first, scratch mutex inside — the
         // same order the batch paths use, so they never deadlock.
-        let mut guard = slot.write();
-        if let Some(v) = *guard {
-            return v;
-        }
-        let v = {
-            let mut scratch = self.scratch.lock();
-            self.compute_cell(&mut scratch, t, s)
-        };
-        *guard = Some(v);
-        // The cache completion runs after the cell lock is released
-        // (the cache must never see us holding a slot it manages).
-        drop(guard);
-        self.note_complete((t, s), v);
-        v
+        self.fill_cell((t, s), &slot, || {
+            self.compute_cell(&mut self.scratch.lock(), t, s, &CancelToken::new())
+        })
+        .expect("a fresh token is never cancelled")
     }
 
     /// Marginal contribution `U_t(S ∪ {i}) − U_t(S)`.
@@ -1057,7 +1031,9 @@ mod tests {
                 .iter()
                 .map(|r| {
                     model.set_params(&r.global_params);
-                    model.loss_with(&test, &mut ws)
+                    model
+                        .loss_with(&test, &mut ws, &CancelToken::new())
+                        .unwrap()
                 })
                 .collect();
             let pinned = UtilityOracle::new(&trace, &proto, &test).with_tier(tier);

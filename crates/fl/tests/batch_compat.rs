@@ -183,13 +183,17 @@ fn oracle_cells_match_per_sample_loss_reference() {
     }
 }
 
-/// Wrapper model that cancels the workspace token at the start of its
-/// `trigger`-th cancellable loss evaluation — the cancellation then
-/// lands *inside* that cell, at the first minibatch-chunk check.
+/// Wrapper model that cancels the batch's token at the start of its
+/// `trigger`-th loss evaluation — the cancellation then lands *inside*
+/// that cell, at the first minibatch-chunk check, which sees it only if
+/// the oracle handed the batch's token down to the model. The oracle's
+/// base losses pass through here too, so the test resets `calls` after
+/// building the oracle: the count is of cell evaluations only.
 struct MidCellCancel {
     inner: LogisticRegression,
     calls: Arc<AtomicU64>,
     trigger: u64,
+    token: CancelToken,
 }
 
 impl Model for MidCellCancel {
@@ -199,19 +203,19 @@ impl Model for MidCellCancel {
     fn params_mut(&mut self) -> &mut [f64] {
         self.inner.params_mut()
     }
-    fn loss(&self, data: &Dataset) -> f64 {
-        self.inner.loss(data)
-    }
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.inner.grad(data, out)
-    }
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
+    fn loss_with(
+        &self,
+        data: &Dataset,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<f64, Cancelled> {
         if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trigger {
-            if let Some(token) = ws.cancel_token() {
-                token.cancel();
-            }
+            self.token.cancel();
         }
-        self.inner.try_loss_with(data, ws)
+        self.inner.loss_with(data, ws, cancel)
+    }
+    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
+        self.inner.grad_with(data, out, ws)
     }
     fn predict(&self, x: &[f64]) -> usize {
         self.inner.predict(x)
@@ -221,6 +225,7 @@ impl Model for MidCellCancel {
             inner: self.inner.clone(),
             calls: Arc::clone(&self.calls),
             trigger: self.trigger,
+            token: self.token.clone(),
         })
     }
 }
@@ -232,19 +237,21 @@ fn mid_cell_cancellation_discards_the_in_flight_cell_and_retries_cleanly() {
     let trace = train_federated(&proto, &clients, &FlConfig::new(4, 3, 0.3, 5));
 
     let trigger = 6u64;
+    let token = CancelToken::new();
     let wrapper = MidCellCancel {
         inner: proto.clone(),
         calls: Arc::new(AtomicU64::new(0)),
         trigger,
+        token: token.clone(),
     };
     let oracle = UtilityOracle::new(&trace, &wrapper, &test).with_parallelism(1);
     oracle.reset_counter();
+    wrapper.calls.store(0, Ordering::SeqCst);
 
     let mut plan = EvalPlan::new();
     for t in 0..trace.num_rounds() {
         plan.add_subsets_of(t, Subset::full(6));
     }
-    let token = CancelToken::new();
     assert_eq!(oracle.try_evaluate_plan(&plan, &token), Err(Cancelled));
     assert_eq!(
         oracle.loss_evaluations(),

@@ -18,14 +18,15 @@ use fedval_cache::{CellCache, DEFAULT_MEM_BUDGET_BYTES};
 use fedval_data::Dataset;
 use fedval_fl::{train_federated, EvalPlan, FlConfig, Subset, UtilityOracle};
 use fedval_linalg::Matrix;
-use fedval_models::{LogisticRegression, Model};
+use fedval_models::{LogisticRegression, Model, Workspace};
 use fedval_runtime::{CancelToken, Cancelled, Pool, PoolHandle};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Test double: a model that cancels a [`CancelToken`] from inside its
-/// own `loss()` after a fixed number of evaluations (counted across all
-/// clones), pinning the cancellation to an exact cell boundary.
+/// own loss evaluation after a fixed number of evaluations (counted
+/// across all clones). It fires the token *after* its own evaluation
+/// has finished, pinning the cancellation to an exact cell boundary.
 struct CancellingModel {
     inner: LogisticRegression,
     calls: Arc<AtomicU64>,
@@ -42,15 +43,21 @@ impl Model for CancellingModel {
         self.inner.params_mut()
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
+    fn loss_with(
+        &self,
+        data: &Dataset,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<f64, Cancelled> {
+        let loss = self.inner.loss_with(data, ws, cancel);
         if self.calls.fetch_add(1, Ordering::SeqCst) + 1 == self.trigger {
             self.token.cancel();
         }
-        self.inner.loss(data)
+        loss
     }
 
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.inner.grad(data, out)
+    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
+        self.inner.grad_with(data, out, ws)
     }
 
     fn predict(&self, x: &[f64]) -> usize {

@@ -8,7 +8,7 @@
 
 use crate::init::xavier_fill;
 use crate::traits::Model;
-use crate::workspace::{check, chunks, softmax_delta, Workspace};
+use crate::workspace::{chunks, softmax_delta, Workspace};
 use fedval_data::Dataset;
 #[cfg(target_arch = "x86_64")]
 use fedval_linalg::KernelIsa;
@@ -724,161 +724,6 @@ impl Cnn {
         }
     }
 
-    fn batched_loss(
-        &self,
-        data: &Dataset,
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
-        assert_eq!(data.dim(), self.input_dim(), "dataset dimension mismatch");
-        if data.is_empty() {
-            return Ok(self.reg_term());
-        }
-        let in_dim = self.input_dim();
-        let feat = data.features().as_slice();
-        let labels = data.labels();
-        let fast = ws.tier() == DeterminismTier::Fast;
-        let (bufs, gemm_scratch) = ws.parts(3);
-        let mut total = 0.0;
-        for (start, end) in chunks(data.len()) {
-            check(cancel)?;
-            let rows = end - start;
-            let x = &feat[start * in_dim..end * in_dim];
-            let (conv, rest) = bufs.split_at_mut(1);
-            let (pooled, logits) = rest.split_at_mut(1);
-            if fast {
-                self.forward_chunk_fast(
-                    x,
-                    rows,
-                    &mut conv[0],
-                    &mut pooled[0],
-                    &mut logits[0],
-                    gemm_scratch,
-                );
-            } else {
-                self.forward_chunk(
-                    x,
-                    rows,
-                    &mut conv[0],
-                    &mut pooled[0],
-                    &mut logits[0],
-                    gemm_scratch,
-                );
-            }
-            total = vector::cross_entropy_rows(
-                logits[0].as_slice(),
-                self.config.num_classes,
-                &labels[start..end],
-                total,
-            );
-        }
-        Ok(total / data.len() as f64 + self.reg_term())
-    }
-
-    fn batched_grad(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
-        assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
-        assert_eq!(data.dim(), self.input_dim(), "dataset dimension mismatch");
-        out.iter_mut().for_each(|v| *v = 0.0);
-        if data.is_empty() {
-            vector::axpy(self.config.reg, &self.params, out);
-            return Ok(self.reg_term());
-        }
-        let inv_n = 1.0 / data.len() as f64;
-        let in_dim = self.input_dim();
-        let dense_in = self.dense_in();
-        let classes = self.config.num_classes;
-        let feat = data.features().as_slice();
-        let labels = data.labels();
-        let tier = ws.tier();
-        let fast = tier == DeterminismTier::Fast;
-        let (bufs, gemm_scratch) = ws.parts(5);
-        let mut total = 0.0;
-        for (start, end) in chunks(data.len()) {
-            check(cancel)?;
-            if fast {
-                // The Fast tier re-chunks into smaller sub-blocks so the
-                // conv activations written by the forward pass are still
-                // L2-resident when the fused backward re-reads them for
-                // the ReLU mask — at full chunk size the conv buffer
-                // round-trips through L3. BitExact keeps the original
-                // chunking: its gradient grouping (one accumulating GEMM
-                // per chunk) is part of the bit-for-bit contract.
-                let mut s0 = start;
-                while s0 < end {
-                    let s1 = (s0 + FAST_GRAD_ROWS).min(end);
-                    total += self.grad_chunk_fast(
-                        &feat[s0 * in_dim..s1 * in_dim],
-                        &labels[s0..s1],
-                        inv_n,
-                        out,
-                        bufs,
-                        gemm_scratch,
-                    );
-                    s0 = s1;
-                }
-                continue;
-            }
-            let rows = end - start;
-            let x = &feat[start * in_dim..end * in_dim];
-            let (conv, rest) = bufs.split_at_mut(1);
-            let (pooled, rest) = rest.split_at_mut(1);
-            let (logits, rest) = rest.split_at_mut(1);
-            let (coeff, pooled_delta) = rest.split_at_mut(1);
-            let (conv, pooled, logits) = (&mut conv[0], &mut pooled[0], &mut logits[0]);
-            let (coeff, pooled_delta) = (&mut coeff[0], &mut pooled_delta[0]);
-
-            self.forward_chunk(x, rows, conv, pooled, logits, gemm_scratch);
-            // coeff row = (softmax(logits) − onehot(y)) · inv_n — the
-            // per-sample code's `delta_c`, including the scaling.
-            total = softmax_delta(logits, &labels[start..end], coeff, total);
-            coeff.as_mut_slice().iter_mut().for_each(|v| *v *= inv_n);
-            // Dense head: W += coeffᵀ · pooled, bias += column sums.
-            gemm::gemm_tn_acc_tiered(
-                coeff.as_slice(),
-                pooled.as_slice(),
-                &mut out[self.dense_w_off..self.dense_b_off],
-                rows,
-                classes,
-                dense_in,
-                tier,
-            );
-            gemm::col_sums_acc(
-                coeff.as_slice(),
-                classes,
-                &mut out[self.dense_b_off..self.dense_b_off + classes],
-            );
-            // pooled_delta = coeff · W_dense (class-ascending per element,
-            // as the per-sample axpy loop).
-            pooled_delta.resize_for_overwrite(rows, dense_in);
-            gemm::gemm_nn_tiered(
-                coeff.as_slice(),
-                &self.params[self.dense_w_off..self.dense_b_off],
-                pooled_delta.as_mut_slice(),
-                rows,
-                classes,
-                dense_in,
-                tier,
-            );
-            // Conv backward, per sample in ascending order.
-            for r in 0..rows {
-                self.conv_backward_sample(
-                    &x[r * in_dim..(r + 1) * in_dim],
-                    conv.row(r),
-                    pooled_delta.row(r),
-                    out,
-                );
-            }
-        }
-        vector::axpy(self.config.reg, &self.params, out);
-        Ok(total * inv_n + self.reg_term())
-    }
-
     /// `Fast`-tier gradient for one sub-block of rows: fused forward,
     /// softmax coefficients, dense-head gradient GEMMs, and the fused
     /// conv backward — every buffer sized to the sub-block so the whole
@@ -1051,37 +896,152 @@ impl Model for Cnn {
         &mut self.params
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
-        self.loss_with(data, &mut Workspace::new())
-    }
-
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.grad_with(data, out, &mut Workspace::new())
-    }
-
-    fn loss_with(&self, data: &Dataset, ws: &mut Workspace) -> f64 {
-        self.batched_loss(data, ws, None)
-            .expect("uncancellable evaluation")
+    fn loss_with(
+        &self,
+        data: &Dataset,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<f64, Cancelled> {
+        assert_eq!(data.dim(), self.input_dim(), "dataset dimension mismatch");
+        if data.is_empty() {
+            return Ok(self.reg_term());
+        }
+        let in_dim = self.input_dim();
+        let feat = data.features().as_slice();
+        let labels = data.labels();
+        let fast = ws.tier() == DeterminismTier::Fast;
+        let (bufs, gemm_scratch) = ws.parts(3);
+        let mut total = 0.0;
+        for (start, end) in chunks(data.len()) {
+            cancel.check()?;
+            let rows = end - start;
+            let x = &feat[start * in_dim..end * in_dim];
+            let (conv, rest) = bufs.split_at_mut(1);
+            let (pooled, logits) = rest.split_at_mut(1);
+            if fast {
+                self.forward_chunk_fast(
+                    x,
+                    rows,
+                    &mut conv[0],
+                    &mut pooled[0],
+                    &mut logits[0],
+                    gemm_scratch,
+                );
+            } else {
+                self.forward_chunk(
+                    x,
+                    rows,
+                    &mut conv[0],
+                    &mut pooled[0],
+                    &mut logits[0],
+                    gemm_scratch,
+                );
+            }
+            total = vector::cross_entropy_rows(
+                logits[0].as_slice(),
+                self.config.num_classes,
+                &labels[start..end],
+                total,
+            );
+        }
+        Ok(total / data.len() as f64 + self.reg_term())
     }
 
     fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
-        self.batched_grad(data, out, ws, None)
-            .expect("uncancellable evaluation")
-    }
+        assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
+        assert_eq!(data.dim(), self.input_dim(), "dataset dimension mismatch");
+        out.iter_mut().for_each(|v| *v = 0.0);
+        if data.is_empty() {
+            vector::axpy(self.config.reg, &self.params, out);
+            return self.reg_term();
+        }
+        let inv_n = 1.0 / data.len() as f64;
+        let in_dim = self.input_dim();
+        let dense_in = self.dense_in();
+        let classes = self.config.num_classes;
+        let feat = data.features().as_slice();
+        let labels = data.labels();
+        let tier = ws.tier();
+        let fast = tier == DeterminismTier::Fast;
+        let (bufs, gemm_scratch) = ws.parts(5);
+        let mut total = 0.0;
+        for (start, end) in chunks(data.len()) {
+            if fast {
+                // The Fast tier re-chunks into smaller sub-blocks so the
+                // conv activations written by the forward pass are still
+                // L2-resident when the fused backward re-reads them for
+                // the ReLU mask — at full chunk size the conv buffer
+                // round-trips through L3. BitExact keeps the original
+                // chunking: its gradient grouping (one accumulating GEMM
+                // per chunk) is part of the bit-for-bit contract.
+                let mut s0 = start;
+                while s0 < end {
+                    let s1 = (s0 + FAST_GRAD_ROWS).min(end);
+                    total += self.grad_chunk_fast(
+                        &feat[s0 * in_dim..s1 * in_dim],
+                        &labels[s0..s1],
+                        inv_n,
+                        out,
+                        bufs,
+                        gemm_scratch,
+                    );
+                    s0 = s1;
+                }
+                continue;
+            }
+            let rows = end - start;
+            let x = &feat[start * in_dim..end * in_dim];
+            let (conv, rest) = bufs.split_at_mut(1);
+            let (pooled, rest) = rest.split_at_mut(1);
+            let (logits, rest) = rest.split_at_mut(1);
+            let (coeff, pooled_delta) = rest.split_at_mut(1);
+            let (conv, pooled, logits) = (&mut conv[0], &mut pooled[0], &mut logits[0]);
+            let (coeff, pooled_delta) = (&mut coeff[0], &mut pooled_delta[0]);
 
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_loss(data, ws, cancel.as_ref())
-    }
-
-    fn try_grad_with(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_grad(data, out, ws, cancel.as_ref())
+            self.forward_chunk(x, rows, conv, pooled, logits, gemm_scratch);
+            // coeff row = (softmax(logits) − onehot(y)) · inv_n — the
+            // per-sample code's `delta_c`, including the scaling.
+            total = softmax_delta(logits, &labels[start..end], coeff, total);
+            coeff.as_mut_slice().iter_mut().for_each(|v| *v *= inv_n);
+            // Dense head: W += coeffᵀ · pooled, bias += column sums.
+            gemm::gemm_tn_acc_tiered(
+                coeff.as_slice(),
+                pooled.as_slice(),
+                &mut out[self.dense_w_off..self.dense_b_off],
+                rows,
+                classes,
+                dense_in,
+                tier,
+            );
+            gemm::col_sums_acc(
+                coeff.as_slice(),
+                classes,
+                &mut out[self.dense_b_off..self.dense_b_off + classes],
+            );
+            // pooled_delta = coeff · W_dense (class-ascending per element,
+            // as the per-sample axpy loop).
+            pooled_delta.resize_for_overwrite(rows, dense_in);
+            gemm::gemm_nn_tiered(
+                coeff.as_slice(),
+                &self.params[self.dense_w_off..self.dense_b_off],
+                pooled_delta.as_mut_slice(),
+                rows,
+                classes,
+                dense_in,
+                tier,
+            );
+            // Conv backward, per sample in ascending order.
+            for r in 0..rows {
+                self.conv_backward_sample(
+                    &x[r * in_dim..(r + 1) * in_dim],
+                    conv.row(r),
+                    pooled_delta.row(r),
+                    out,
+                );
+            }
+        }
+        vector::axpy(self.config.reg, &self.params, out);
+        total * inv_n + self.reg_term()
     }
 
     fn predict(&self, x: &[f64]) -> usize {
@@ -1202,7 +1162,9 @@ mod tests {
         // FEDVAL_TIER environment the suite runs under.
         let mut ws = crate::workspace::Workspace::bit_exact();
         assert_eq!(
-            m.loss_with(&d, &mut ws).to_bits(),
+            m.loss_with(&d, &mut ws, &CancelToken::new())
+                .unwrap()
+                .to_bits(),
             m.loss_per_sample(&d).to_bits()
         );
         let mut g_batched = vec![0.0; m.num_params()];
@@ -1237,7 +1199,7 @@ mod tests {
         // up at ~1e-2.
         let tol = |reference: f64| 1e-9 * (1.0 + reference.abs());
         let mut ws = crate::workspace::Workspace::new().with_tier(DeterminismTier::Fast);
-        let lf = m.loss_with(&d, &mut ws);
+        let lf = m.loss_with(&d, &mut ws, &CancelToken::new()).unwrap();
         let lr = m.loss_per_sample(&d);
         assert!((lf - lr).abs() <= tol(lr), "loss {lf} vs {lr}");
         let mut g_fast = vec![0.0; m.num_params()];
@@ -1257,8 +1219,12 @@ mod tests {
         let mut ws1 = crate::workspace::Workspace::new().with_tier(DeterminismTier::Fast);
         let mut ws2 = crate::workspace::Workspace::new().with_tier(DeterminismTier::Fast);
         assert_eq!(
-            m.loss_with(&d, &mut ws1).to_bits(),
-            m.loss_with(&d, &mut ws2).to_bits()
+            m.loss_with(&d, &mut ws1, &CancelToken::new())
+                .unwrap()
+                .to_bits(),
+            m.loss_with(&d, &mut ws2, &CancelToken::new())
+                .unwrap()
+                .to_bits()
         );
         let mut g1 = vec![0.0; m.num_params()];
         let mut g2 = vec![0.0; m.num_params()];

@@ -7,7 +7,7 @@
 
 use crate::init::xavier_fill;
 use crate::traits::Model;
-use crate::workspace::{check, chunks, softmax_delta, Workspace};
+use crate::workspace::{chunks, softmax_delta, Workspace};
 use fedval_data::Dataset;
 use fedval_linalg::{gemm, vector, DeterminismTier};
 use fedval_runtime::{CancelToken, Cancelled};
@@ -110,84 +110,6 @@ impl LogisticRegression {
         gemm::add_bias_rows(logits.as_mut_slice(), c, &self.params[c * d..]);
     }
 
-    fn batched_loss(
-        &self,
-        data: &Dataset,
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
-        assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
-        if data.is_empty() {
-            return Ok(self.reg_term());
-        }
-        let d = self.dim;
-        let feat = data.features().as_slice();
-        let labels = data.labels();
-        let tier = ws.tier();
-        let (bufs, gemm_scratch) = ws.parts(1);
-        let mut total = 0.0;
-        for (start, end) in chunks(data.len()) {
-            check(cancel)?;
-            self.logits_chunk(
-                &feat[start * d..end * d],
-                end - start,
-                &mut bufs[0],
-                gemm_scratch,
-                tier,
-            );
-            total = vector::cross_entropy_rows(
-                bufs[0].as_slice(),
-                self.num_classes,
-                &labels[start..end],
-                total,
-            );
-        }
-        Ok(total / data.len() as f64 + self.reg_term())
-    }
-
-    fn batched_grad(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
-        assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
-        assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
-        out.iter_mut().for_each(|v| *v = 0.0);
-        let (c, d) = (self.num_classes, self.dim);
-        if data.is_empty() {
-            vector::axpy(self.reg, &self.params, out);
-            return Ok(self.reg_term());
-        }
-        let inv_n = 1.0 / data.len() as f64;
-        let feat = data.features().as_slice();
-        let labels = data.labels();
-        let tier = ws.tier();
-        let (bufs, gemm_scratch) = ws.parts(2);
-        let mut total = 0.0;
-        for (start, end) in chunks(data.len()) {
-            check(cancel)?;
-            let rows = end - start;
-            let x = &feat[start * d..end * d];
-            let (logits, coeff) = {
-                let (a, b) = bufs.split_at_mut(1);
-                (&mut a[0], &mut b[0])
-            };
-            self.logits_chunk(x, rows, logits, gemm_scratch, tier);
-            // coeff row = (softmax(logits) − onehot(y)) · inv_n.
-            total = softmax_delta(logits, &labels[start..end], coeff, total);
-            coeff.as_mut_slice().iter_mut().for_each(|v| *v *= inv_n);
-            // W += coeffᵀ X, bias += column sums — sample-ascending
-            // accumulation, bit-identical to the per-sample axpy loop in
-            // the BitExact tier.
-            gemm::gemm_tn_acc_tiered(coeff.as_slice(), x, &mut out[..c * d], rows, c, d, tier);
-            gemm::col_sums_acc(coeff.as_slice(), c, &mut out[c * d..]);
-        }
-        vector::axpy(self.reg, &self.params, out);
-        Ok(total * inv_n + self.reg_term())
-    }
-
     /// The pre-batching per-sample loss loop, retained verbatim as the
     /// naive reference the equivalence tests and the `cell_throughput`
     /// benchmark compare against.
@@ -262,37 +184,75 @@ impl Model for LogisticRegression {
         &mut self.params
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
-        self.loss_with(data, &mut Workspace::new())
-    }
-
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.grad_with(data, out, &mut Workspace::new())
-    }
-
-    fn loss_with(&self, data: &Dataset, ws: &mut Workspace) -> f64 {
-        self.batched_loss(data, ws, None)
-            .expect("uncancellable evaluation")
+    fn loss_with(
+        &self,
+        data: &Dataset,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<f64, Cancelled> {
+        assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
+        if data.is_empty() {
+            return Ok(self.reg_term());
+        }
+        let d = self.dim;
+        let feat = data.features().as_slice();
+        let labels = data.labels();
+        let tier = ws.tier();
+        let (bufs, gemm_scratch) = ws.parts(1);
+        let mut total = 0.0;
+        for (start, end) in chunks(data.len()) {
+            cancel.check()?;
+            self.logits_chunk(
+                &feat[start * d..end * d],
+                end - start,
+                &mut bufs[0],
+                gemm_scratch,
+                tier,
+            );
+            total = vector::cross_entropy_rows(
+                bufs[0].as_slice(),
+                self.num_classes,
+                &labels[start..end],
+                total,
+            );
+        }
+        Ok(total / data.len() as f64 + self.reg_term())
     }
 
     fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
-        self.batched_grad(data, out, ws, None)
-            .expect("uncancellable evaluation")
-    }
-
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_loss(data, ws, cancel.as_ref())
-    }
-
-    fn try_grad_with(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_grad(data, out, ws, cancel.as_ref())
+        assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
+        assert_eq!(data.dim(), self.dim, "dataset dimension mismatch");
+        out.iter_mut().for_each(|v| *v = 0.0);
+        let (c, d) = (self.num_classes, self.dim);
+        if data.is_empty() {
+            vector::axpy(self.reg, &self.params, out);
+            return self.reg_term();
+        }
+        let inv_n = 1.0 / data.len() as f64;
+        let feat = data.features().as_slice();
+        let labels = data.labels();
+        let tier = ws.tier();
+        let (bufs, gemm_scratch) = ws.parts(2);
+        let mut total = 0.0;
+        for (start, end) in chunks(data.len()) {
+            let rows = end - start;
+            let x = &feat[start * d..end * d];
+            let (logits, coeff) = {
+                let (a, b) = bufs.split_at_mut(1);
+                (&mut a[0], &mut b[0])
+            };
+            self.logits_chunk(x, rows, logits, gemm_scratch, tier);
+            // coeff row = (softmax(logits) − onehot(y)) · inv_n.
+            total = softmax_delta(logits, &labels[start..end], coeff, total);
+            coeff.as_mut_slice().iter_mut().for_each(|v| *v *= inv_n);
+            // W += coeffᵀ X, bias += column sums — sample-ascending
+            // accumulation, bit-identical to the per-sample axpy loop in
+            // the BitExact tier.
+            gemm::gemm_tn_acc_tiered(coeff.as_slice(), x, &mut out[..c * d], rows, c, d, tier);
+            gemm::col_sums_acc(coeff.as_slice(), c, &mut out[c * d..]);
+        }
+        vector::axpy(self.reg, &self.params, out);
+        total * inv_n + self.reg_term()
     }
 
     fn predict(&self, x: &[f64]) -> usize {
@@ -414,7 +374,9 @@ mod tests {
         // FEDVAL_TIER environment the suite runs under.
         let mut ws = crate::workspace::Workspace::bit_exact();
         assert_eq!(
-            m.loss_with(&d, &mut ws).to_bits(),
+            m.loss_with(&d, &mut ws, &CancelToken::new())
+                .unwrap()
+                .to_bits(),
             m.loss_per_sample(&d).to_bits()
         );
 
@@ -437,7 +399,7 @@ mod tests {
         let m = LogisticRegression::new(3, 3, 0.05, 13);
         let tol = |reference: f64| 1e-9 * (1.0 + reference.abs());
         let mut ws = crate::workspace::Workspace::new().with_tier(DeterminismTier::Fast);
-        let lf = m.loss_with(&d, &mut ws);
+        let lf = m.loss_with(&d, &mut ws, &CancelToken::new()).unwrap();
         let lr = m.loss_per_sample(&d);
         assert!((lf - lr).abs() <= tol(lr), "loss {lf} vs {lr}");
         let mut g_fast = vec![0.0; m.num_params()];

@@ -6,7 +6,7 @@
 
 use crate::init::xavier_fill;
 use crate::traits::Model;
-use crate::workspace::{check, chunks, softmax_delta, Workspace};
+use crate::workspace::{chunks, softmax_delta, Workspace};
 use fedval_data::Dataset;
 use fedval_linalg::{gemm, vector, DeterminismTier, Matrix};
 use fedval_runtime::{CancelToken, Cancelled};
@@ -190,133 +190,6 @@ impl Mlp {
         }
     }
 
-    fn batched_loss(
-        &self,
-        data: &Dataset,
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
-        assert_eq!(data.dim(), self.sizes[0], "dataset dimension mismatch");
-        if data.is_empty() {
-            return Ok(self.reg_term());
-        }
-        let nl = self.shapes.len();
-        let d = self.sizes[0];
-        let feat = data.features().as_slice();
-        let labels = data.labels();
-        let tier = ws.tier();
-        let (acts, gemm_scratch) = ws.parts(nl);
-        let mut total = 0.0;
-        for (start, end) in chunks(data.len()) {
-            check(cancel)?;
-            self.forward_chunk(
-                &feat[start * d..end * d],
-                end - start,
-                acts,
-                gemm_scratch,
-                tier,
-            );
-            let logits = &acts[nl - 1];
-            total = vector::cross_entropy_rows(
-                logits.as_slice(),
-                logits.cols(),
-                &labels[start..end],
-                total,
-            );
-        }
-        Ok(total / data.len() as f64 + self.reg_term())
-    }
-
-    fn batched_grad(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-        cancel: Option<&CancelToken>,
-    ) -> Result<f64, Cancelled> {
-        assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
-        assert_eq!(data.dim(), self.sizes[0], "dataset dimension mismatch");
-        out.iter_mut().for_each(|v| *v = 0.0);
-        if data.is_empty() {
-            vector::axpy(self.reg, &self.params, out);
-            return Ok(self.reg_term());
-        }
-        let nl = self.shapes.len();
-        let d = self.sizes[0];
-        let inv_n = 1.0 / data.len() as f64;
-        let feat = data.features().as_slice();
-        let labels = data.labels();
-        let tier = ws.tier();
-        // Buffers: nl activations, then delta / delta_prev / delta_scaled.
-        let (bufs, gemm_scratch) = ws.parts(nl + 3);
-        let mut total = 0.0;
-        for (start, end) in chunks(data.len()) {
-            check(cancel)?;
-            let rows = end - start;
-            let x = &feat[start * d..end * d];
-            let (acts, rest) = bufs.split_at_mut(nl);
-            let (delta_buf, rest) = rest.split_at_mut(1);
-            let (prev_buf, ds_buf) = rest.split_at_mut(1);
-            let (delta, delta_prev, ds) = (&mut delta_buf[0], &mut prev_buf[0], &mut ds_buf[0]);
-
-            self.forward_chunk(x, rows, acts, gemm_scratch, tier);
-            // delta row = softmax(logits) − onehot(y), unscaled.
-            total = softmax_delta(&acts[nl - 1], &labels[start..end], delta, total);
-
-            for li in (0..nl).rev() {
-                let s = &self.shapes[li];
-                let input: &[f64] = if li == 0 { x } else { acts[li - 1].as_slice() };
-                // Scaled copy ds = delta · inv_n: the per-sample code
-                // multiplied each coefficient by inv_n at use.
-                ds.resize_for_overwrite(rows, s.output);
-                for (dsv, &dv) in ds.as_mut_slice().iter_mut().zip(delta.as_slice()) {
-                    *dsv = dv * inv_n;
-                }
-                // W += dsᵀ · input, bias += column sums of ds —
-                // sample-ascending, bit-identical to the per-sample axpy.
-                gemm::gemm_tn_acc_tiered(
-                    ds.as_slice(),
-                    input,
-                    &mut out[s.w_off..s.w_off + s.output * s.input],
-                    rows,
-                    s.output,
-                    s.input,
-                    tier,
-                );
-                gemm::col_sums_acc(
-                    ds.as_slice(),
-                    s.output,
-                    &mut out[s.b_off..s.b_off + s.output],
-                );
-                if li == 0 {
-                    break;
-                }
-                // delta_prev = (delta · W) ⊙ σ'(act), unscaled delta as
-                // in the per-sample path.
-                delta_prev.resize_for_overwrite(rows, s.input);
-                gemm::gemm_nn_tiered(
-                    delta.as_slice(),
-                    &self.params[s.w_off..s.w_off + s.output * s.input],
-                    delta_prev.as_mut_slice(),
-                    rows,
-                    s.output,
-                    s.input,
-                    tier,
-                );
-                for (pd, &a) in delta_prev
-                    .as_mut_slice()
-                    .iter_mut()
-                    .zip(acts[li - 1].as_slice())
-                {
-                    *pd *= self.activation.derivative_from_output(a);
-                }
-                std::mem::swap(delta, delta_prev);
-            }
-        }
-        vector::axpy(self.reg, &self.params, out);
-        Ok(total * inv_n + self.reg_term())
-    }
-
     /// The pre-batching per-sample loss loop, retained verbatim as the
     /// naive reference the equivalence tests and the `cell_throughput`
     /// benchmark compare against.
@@ -418,37 +291,124 @@ impl Model for Mlp {
         &mut self.params
     }
 
-    fn loss(&self, data: &Dataset) -> f64 {
-        self.loss_with(data, &mut Workspace::new())
-    }
-
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
-        self.grad_with(data, out, &mut Workspace::new())
-    }
-
-    fn loss_with(&self, data: &Dataset, ws: &mut Workspace) -> f64 {
-        self.batched_loss(data, ws, None)
-            .expect("uncancellable evaluation")
+    fn loss_with(
+        &self,
+        data: &Dataset,
+        ws: &mut Workspace,
+        cancel: &CancelToken,
+    ) -> Result<f64, Cancelled> {
+        assert_eq!(data.dim(), self.sizes[0], "dataset dimension mismatch");
+        if data.is_empty() {
+            return Ok(self.reg_term());
+        }
+        let nl = self.shapes.len();
+        let d = self.sizes[0];
+        let feat = data.features().as_slice();
+        let labels = data.labels();
+        let tier = ws.tier();
+        let (acts, gemm_scratch) = ws.parts(nl);
+        let mut total = 0.0;
+        for (start, end) in chunks(data.len()) {
+            cancel.check()?;
+            self.forward_chunk(
+                &feat[start * d..end * d],
+                end - start,
+                acts,
+                gemm_scratch,
+                tier,
+            );
+            let logits = &acts[nl - 1];
+            total = vector::cross_entropy_rows(
+                logits.as_slice(),
+                logits.cols(),
+                &labels[start..end],
+                total,
+            );
+        }
+        Ok(total / data.len() as f64 + self.reg_term())
     }
 
     fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
-        self.batched_grad(data, out, ws, None)
-            .expect("uncancellable evaluation")
-    }
+        assert_eq!(out.len(), self.params.len(), "gradient buffer mismatch");
+        assert_eq!(data.dim(), self.sizes[0], "dataset dimension mismatch");
+        out.iter_mut().for_each(|v| *v = 0.0);
+        if data.is_empty() {
+            vector::axpy(self.reg, &self.params, out);
+            return self.reg_term();
+        }
+        let nl = self.shapes.len();
+        let d = self.sizes[0];
+        let inv_n = 1.0 / data.len() as f64;
+        let feat = data.features().as_slice();
+        let labels = data.labels();
+        let tier = ws.tier();
+        // Buffers: nl activations, then delta / delta_prev / delta_scaled.
+        let (bufs, gemm_scratch) = ws.parts(nl + 3);
+        let mut total = 0.0;
+        for (start, end) in chunks(data.len()) {
+            let rows = end - start;
+            let x = &feat[start * d..end * d];
+            let (acts, rest) = bufs.split_at_mut(nl);
+            let (delta_buf, rest) = rest.split_at_mut(1);
+            let (prev_buf, ds_buf) = rest.split_at_mut(1);
+            let (delta, delta_prev, ds) = (&mut delta_buf[0], &mut prev_buf[0], &mut ds_buf[0]);
 
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_loss(data, ws, cancel.as_ref())
-    }
+            self.forward_chunk(x, rows, acts, gemm_scratch, tier);
+            // delta row = softmax(logits) − onehot(y), unscaled.
+            total = softmax_delta(&acts[nl - 1], &labels[start..end], delta, total);
 
-    fn try_grad_with(
-        &self,
-        data: &Dataset,
-        out: &mut [f64],
-        ws: &mut Workspace,
-    ) -> Result<f64, Cancelled> {
-        let cancel = ws.cancel_token().cloned();
-        self.batched_grad(data, out, ws, cancel.as_ref())
+            for li in (0..nl).rev() {
+                let s = &self.shapes[li];
+                let input: &[f64] = if li == 0 { x } else { acts[li - 1].as_slice() };
+                // Scaled copy ds = delta · inv_n: the per-sample code
+                // multiplied each coefficient by inv_n at use.
+                ds.resize_for_overwrite(rows, s.output);
+                for (dsv, &dv) in ds.as_mut_slice().iter_mut().zip(delta.as_slice()) {
+                    *dsv = dv * inv_n;
+                }
+                // W += dsᵀ · input, bias += column sums of ds —
+                // sample-ascending, bit-identical to the per-sample axpy.
+                gemm::gemm_tn_acc_tiered(
+                    ds.as_slice(),
+                    input,
+                    &mut out[s.w_off..s.w_off + s.output * s.input],
+                    rows,
+                    s.output,
+                    s.input,
+                    tier,
+                );
+                gemm::col_sums_acc(
+                    ds.as_slice(),
+                    s.output,
+                    &mut out[s.b_off..s.b_off + s.output],
+                );
+                if li == 0 {
+                    break;
+                }
+                // delta_prev = (delta · W) ⊙ σ'(act), unscaled delta as
+                // in the per-sample path.
+                delta_prev.resize_for_overwrite(rows, s.input);
+                gemm::gemm_nn_tiered(
+                    delta.as_slice(),
+                    &self.params[s.w_off..s.w_off + s.output * s.input],
+                    delta_prev.as_mut_slice(),
+                    rows,
+                    s.output,
+                    s.input,
+                    tier,
+                );
+                for (pd, &a) in delta_prev
+                    .as_mut_slice()
+                    .iter_mut()
+                    .zip(acts[li - 1].as_slice())
+                {
+                    *pd *= self.activation.derivative_from_output(a);
+                }
+                std::mem::swap(delta, delta_prev);
+            }
+        }
+        vector::axpy(self.reg, &self.params, out);
+        total * inv_n + self.reg_term()
     }
 
     fn predict(&self, x: &[f64]) -> usize {
@@ -552,7 +512,9 @@ mod tests {
             // the FEDVAL_TIER environment the suite runs under.
             let mut ws = crate::workspace::Workspace::bit_exact();
             assert_eq!(
-                m.loss_with(&d, &mut ws).to_bits(),
+                m.loss_with(&d, &mut ws, &CancelToken::new())
+                    .unwrap()
+                    .to_bits(),
                 m.loss_per_sample(&d).to_bits()
             );
             let mut g_batched = vec![0.0; m.num_params()];
@@ -576,7 +538,7 @@ mod tests {
         for activation in [Activation::Tanh, Activation::Relu] {
             let m = Mlp::new(&[5, 9, 6, 4], activation, 0.02, 23);
             let mut ws = crate::workspace::Workspace::new().with_tier(DeterminismTier::Fast);
-            let lf = m.loss_with(&d, &mut ws);
+            let lf = m.loss_with(&d, &mut ws, &CancelToken::new()).unwrap();
             let lr = m.loss_per_sample(&d);
             assert!(
                 (lf - lr).abs() <= tol(lr),

@@ -1,16 +1,23 @@
-//! The [`Model`] abstraction shared by every learner in the repo.
+//! The [`Model`] abstraction shared by every learner in the repo: one
+//! cancellable loss entry point and one gradient entry point, both over
+//! a caller-owned minibatch [`Workspace`].
 
 use crate::workspace::Workspace;
 use fedval_data::Dataset;
-use fedval_runtime::Cancelled;
+use fedval_runtime::{CancelToken, Cancelled};
 
 /// A differentiable classifier with a flat parameter vector.
 ///
 /// The flat layout is the load-bearing design decision: FedAvg aggregates
 /// client models by averaging these vectors, and the utility-matrix oracle
 /// evaluates the loss of averaged vectors directly. Implementations must
-/// treat the parameter slice as the *only* state that affects `loss`,
-/// `grad`, and `predict`.
+/// treat the parameter slice as the *only* state that affects the loss,
+/// the gradient, and `predict`.
+///
+/// An implementation provides one loss entry point
+/// ([`loss_with`](Model::loss_with), cancellable) and one gradient entry
+/// point ([`grad_with`](Model::grad_with)); [`loss`](Model::loss) and
+/// [`grad`](Model::grad) are the allocating conveniences over them.
 pub trait Model: Send + Sync {
     /// Immutable view of the flat parameter vector.
     fn params(&self) -> &[f64];
@@ -18,57 +25,36 @@ pub trait Model: Send + Sync {
     /// Mutable view of the flat parameter vector.
     fn params_mut(&mut self) -> &mut [f64];
 
-    /// Mean loss (including any regularization) over `data`.
-    fn loss(&self, data: &Dataset) -> f64;
-
-    /// Writes the full-batch gradient of [`Model::loss`] into `out` and
-    /// returns the loss. `out.len()` must equal `num_params()`.
-    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64;
-
-    /// [`loss`](Model::loss) with caller-provided, reusable minibatch
-    /// buffers. The built-in models override this with their batched
-    /// kernels so repeated evaluations (the utility oracle's cell loop,
-    /// the trainer's local updates) never re-allocate; the provided
-    /// default simply ignores `ws`, so third-party models keep working
-    /// unchanged.
-    fn loss_with(&self, data: &Dataset, ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.loss(data)
-    }
-
-    /// [`grad`](Model::grad) with caller-provided, reusable minibatch
-    /// buffers (see [`loss_with`](Model::loss_with)).
-    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64 {
-        let _ = ws;
-        self.grad(data, out)
-    }
-
-    /// Cancellable [`loss_with`](Model::loss_with): observes the
-    /// workspace's [`CancelToken`](fedval_runtime::CancelToken) between
-    /// minibatch chunks and abandons the evaluation with
-    /// `Err(Cancelled)` — this is what lets the utility oracle stop
-    /// *inside* a cell instead of finishing a huge evaluation first.
-    /// The provided default checks once up front, then runs the
-    /// uncancellable path.
-    fn try_loss_with(&self, data: &Dataset, ws: &mut Workspace) -> Result<f64, Cancelled> {
-        if let Some(token) = ws.cancel_token() {
-            token.check()?;
-        }
-        Ok(self.loss_with(data, ws))
-    }
-
-    /// Cancellable [`grad_with`](Model::grad_with); same contract as
-    /// [`try_loss_with`](Model::try_loss_with).
-    fn try_grad_with(
+    /// Mean loss (including any regularization) over `data`, evaluated
+    /// with the caller's reusable minibatch buffers at the workspace's
+    /// tier. `cancel` is observed between minibatch chunks: once it
+    /// fires, the evaluation is abandoned with `Err(Cancelled)` — this
+    /// is what lets the utility oracle stop *inside* a cell instead of
+    /// finishing a huge evaluation first.
+    fn loss_with(
         &self,
         data: &Dataset,
-        out: &mut [f64],
         ws: &mut Workspace,
-    ) -> Result<f64, Cancelled> {
-        if let Some(token) = ws.cancel_token() {
-            token.check()?;
-        }
-        Ok(self.grad_with(data, out, ws))
+        cancel: &CancelToken,
+    ) -> Result<f64, Cancelled>;
+
+    /// Writes the full-batch gradient of the loss into `out` and returns
+    /// the loss, with the caller's reusable minibatch buffers.
+    /// `out.len()` must equal `num_params()`. Not cancellable: training
+    /// observes cancellation between rounds.
+    fn grad_with(&self, data: &Dataset, out: &mut [f64], ws: &mut Workspace) -> f64;
+
+    /// [`loss_with`](Model::loss_with) on a fresh workspace at the
+    /// process default tier, uncancelled.
+    fn loss(&self, data: &Dataset) -> f64 {
+        self.loss_with(data, &mut Workspace::new(), &CancelToken::new())
+            .expect("a fresh token is never cancelled")
+    }
+
+    /// [`grad_with`](Model::grad_with) on a fresh workspace at the
+    /// process default tier.
+    fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
+        self.grad_with(data, out, &mut Workspace::new())
     }
 
     /// Predicted class for one feature vector.
@@ -172,16 +158,22 @@ mod tests {
         fn params_mut(&mut self) -> &mut [f64] {
             &mut self.w
         }
-        fn loss(&self, data: &Dataset) -> f64 {
+        fn loss_with(
+            &self,
+            data: &Dataset,
+            _ws: &mut Workspace,
+            cancel: &CancelToken,
+        ) -> Result<f64, Cancelled> {
+            cancel.check()?;
             let mut total = 0.0;
             for i in 0..data.len() {
                 let (x, y) = data.example(i);
                 let p = fedval_linalg::vector::dot(&self.w, x) - y as f64;
                 total += p * p;
             }
-            total / data.len() as f64
+            Ok(total / data.len() as f64)
         }
-        fn grad(&self, data: &Dataset, out: &mut [f64]) -> f64 {
+        fn grad_with(&self, data: &Dataset, out: &mut [f64], _ws: &mut Workspace) -> f64 {
             out.iter_mut().for_each(|v| *v = 0.0);
             let mut total = 0.0;
             for i in 0..data.len() {

@@ -9,21 +9,19 @@
 //! evaluation reuses the same allocations — the pre-batching code paid
 //! a `Vec<Vec<f64>>` of allocations *per sample*.
 //!
-//! A workspace can also carry a [`CancelToken`]; the chunked loops
-//! observe it between minibatches (`Model::try_loss_with`), which is
-//! what lets a cancelled valuation stop *inside* a utility cell instead
-//! of finishing an arbitrarily large model evaluation first.
+//! The chunked loop of [`Model::loss_with`](crate::Model::loss_with)
+//! observes the caller's cancellation token between minibatches, so a
+//! cancelled valuation stops *inside* a utility cell instead of
+//! finishing an arbitrarily large model evaluation first.
 
 use fedval_linalg::{gemm, vector, DeterminismTier, Matrix};
-use fedval_runtime::{CancelToken, Cancelled};
 
 /// Rows per minibatch chunk of the batched kernels. Large enough that
 /// the GEMM calls amortize their setup, small enough that one chunk's
 /// activations stay modest and cancellation latency is bounded.
 pub const CHUNK_ROWS: usize = 256;
 
-/// Reusable per-worker buffers for the batched model kernels plus an
-/// optional cancellation token observed between minibatch chunks.
+/// Reusable per-worker buffers for the batched model kernels.
 ///
 /// The workspace also carries the evaluation's [`DeterminismTier`]: the
 /// batched model kernels read it to pick between the bit-exact and the
@@ -33,7 +31,6 @@ pub const CHUNK_ROWS: usize = 256;
 pub struct Workspace {
     bufs: Vec<Matrix>,
     gemm: gemm::Scratch,
-    cancel: Option<CancelToken>,
     tier: DeterminismTier,
 }
 
@@ -51,7 +48,6 @@ impl Workspace {
         Workspace {
             bufs: Vec::new(),
             gemm: gemm::Scratch::new(),
-            cancel: None,
             tier: DeterminismTier::default_tier(),
         }
     }
@@ -79,25 +75,6 @@ impl Workspace {
         self.tier
     }
 
-    /// Attaches `token`: chunked evaluations driven through
-    /// [`Model::try_loss_with`](crate::Model::try_loss_with) /
-    /// [`try_grad_with`](crate::Model::try_grad_with) will observe it
-    /// between minibatches.
-    pub fn with_cancel(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Replaces (or clears) the attached cancellation token.
-    pub fn set_cancel(&mut self, token: Option<CancelToken>) {
-        self.cancel = token;
-    }
-
-    /// The attached cancellation token, if any.
-    pub fn cancel_token(&self) -> Option<&CancelToken> {
-        self.cancel.as_ref()
-    }
-
     /// The first `count` scratch matrices (created empty on first use)
     /// plus the shared GEMM packing scratch. Models carve their
     /// activation/delta buffers out of the slice with `split_at_mut`.
@@ -106,15 +83,6 @@ impl Workspace {
             self.bufs.resize_with(count, Matrix::default);
         }
         (&mut self.bufs[..count], &mut self.gemm)
-    }
-}
-
-/// `Err(Cancelled)` once `cancel` is set; `Ok` when absent.
-#[inline]
-pub(crate) fn check(cancel: Option<&CancelToken>) -> Result<(), Cancelled> {
-    match cancel {
-        Some(token) => token.check(),
-        None => Ok(()),
     }
 }
 
@@ -183,15 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn check_respects_token() {
-        assert!(check(None).is_ok());
-        let token = CancelToken::new();
-        assert!(check(Some(&token)).is_ok());
-        token.cancel();
-        assert_eq!(check(Some(&token)), Err(Cancelled));
-    }
-
-    #[test]
     fn tier_roundtrip_and_bit_exact_pin() {
         let mut ws = Workspace::new().with_tier(DeterminismTier::Fast);
         assert_eq!(ws.tier(), DeterminismTier::Fast);
@@ -200,14 +159,5 @@ mod tests {
         assert_eq!(Workspace::bit_exact().tier(), DeterminismTier::BitExact);
         // The default constructor follows the process-wide default.
         assert_eq!(Workspace::new().tier(), DeterminismTier::default_tier());
-    }
-
-    #[test]
-    fn cancel_token_roundtrip() {
-        let token = CancelToken::new();
-        let mut ws = Workspace::new().with_cancel(token.clone());
-        assert!(ws.cancel_token().is_some());
-        ws.set_cancel(None);
-        assert!(ws.cancel_token().is_none());
     }
 }

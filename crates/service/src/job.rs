@@ -539,10 +539,6 @@ impl Drop for BuildGuard<'_> {
 
 struct ManagerInner {
     pool: PoolHandle,
-    /// Oracle parallelism per job (`None`: `max(2, pool width)` so even
-    /// a 1-core host fans cells out into schedulable chunks instead of
-    /// taking the oracle's inline path).
-    parallelism: Option<usize>,
     /// The process-shared utility-cell cache every job's oracle
     /// attaches to (possibly disk-backed via `FEDVAL_CACHE_DIR`).
     cache: Arc<CellCache>,
@@ -603,7 +599,6 @@ impl JobManager {
         JobManager {
             inner: Arc::new(ManagerInner {
                 pool,
-                parallelism: None,
                 cache,
                 worlds: WorldMemo {
                     map: Mutex::new(HashMap::new()),
@@ -1150,14 +1145,10 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
         trained.base_losses.clone(),
     );
     oracle.set_pool(inner.pool.clone());
-    // Fan cells out into schedulable chunks even on narrow pools: at
-    // parallelism 1 the oracle takes a fully-inline path that the
-    // fair-share scheduler never sees.
-    oracle.set_parallelism(
-        inner
-            .parallelism
-            .unwrap_or_else(|| inner.pool.threads().max(2)),
-    );
+    // Fan cells out into schedulable chunks even on narrow pools (at
+    // least 2, so a 1-core host too): at parallelism 1 the oracle takes
+    // a fully-inline path that the fair-share scheduler never sees.
+    oracle.set_parallelism(inner.pool.threads().max(2));
     // Apply the spec's tier to the oracle itself (not just the session)
     // so the session never needs a fresh-cache retier clone — which
     // would detach the shared cache. Tier before attaching: the cache

@@ -419,9 +419,6 @@ impl ValuationSession {
         if let Some(seed) = self.seed {
             ctx = ctx.with_seed(seed);
         }
-        if let Some(tier) = self.tier {
-            ctx = ctx.with_tier(tier);
-        }
         // A tier override that disagrees with the oracle's tier values
         // on a retiered clone. It keeps the oracle's cache: cell keys
         // carry the tier, so the run never mixes tiers.

@@ -27,7 +27,6 @@
 use crate::error::ValuationError;
 use crate::fairness::ReferenceReport;
 use fedval_fl::UtilityOracle;
-use fedval_linalg::DeterminismTier;
 use fedval_runtime::CancelToken;
 
 /// How far along the reporting method is — the fine-grained payload of a
@@ -81,16 +80,15 @@ pub struct ProgressEvent<'a> {
 }
 
 /// Per-run state a [`Valuator`] receives: the session-level seed
-/// override, the progress sink, the cancellation token, and the
-/// session-level numeric-tier override. A default context (no override,
-/// no callback, fresh token) reproduces the method's standalone
-/// behavior bit-for-bit.
+/// override, the progress sink and the cancellation token. A default
+/// context (no override, no callback, fresh token) reproduces the
+/// method's standalone behavior bit-for-bit. The numeric tier is the
+/// oracle's: a session values on an oracle pinned to its tier.
 #[derive(Default)]
 pub struct RunContext<'a> {
     seed: Option<u64>,
     progress: Option<&'a mut dyn FnMut(ProgressEvent<'_>)>,
     cancel: CancelToken,
-    tier: Option<DeterminismTier>,
 }
 
 impl<'a> RunContext<'a> {
@@ -139,22 +137,6 @@ impl<'a> RunContext<'a> {
     /// otherwise the method's own `default`.
     pub fn seed_or(&self, default: u64) -> u64 {
         self.seed.unwrap_or(default)
-    }
-
-    /// Records the session's numeric-tier override (what
-    /// [`ValuationSessionBuilder::tier`](crate::session::ValuationSessionBuilder::tier)
-    /// sets). The session applies it to the oracle before the run; the
-    /// context copy is informational, for custom valuators that spawn
-    /// their own model evaluations.
-    pub fn with_tier(mut self, tier: DeterminismTier) -> Self {
-        self.tier = Some(tier);
-        self
-    }
-
-    /// The tier this run evaluates at: the session override if present,
-    /// otherwise `default` (callers typically pass the oracle's tier).
-    pub fn tier_or(&self, default: DeterminismTier) -> DeterminismTier {
-        self.tier.unwrap_or(default)
     }
 
     /// Emits a coarse stage-boundary event (no-op without a callback).
@@ -250,20 +232,6 @@ mod tests {
         assert_eq!(ctx.seed_or(7), 7);
         let ctx = RunContext::new().with_seed(42);
         assert_eq!(ctx.seed_or(7), 42);
-    }
-
-    #[test]
-    fn context_tier_override() {
-        let ctx = RunContext::new();
-        assert_eq!(
-            ctx.tier_or(DeterminismTier::BitExact),
-            DeterminismTier::BitExact
-        );
-        let ctx = RunContext::new().with_tier(DeterminismTier::Fast);
-        assert_eq!(
-            ctx.tier_or(DeterminismTier::BitExact),
-            DeterminismTier::Fast
-        );
     }
 
     #[test]

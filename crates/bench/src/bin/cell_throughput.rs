@@ -49,7 +49,7 @@
 //! compare runs on different hosts and host phases, so they are
 //! informational and never fail.
 
-use fedval_bench::smoke::{min_of, value_checksum, SmokeArgs};
+use fedval_bench::smoke::{committed_rows, min_of, value_checksum, SmokeArgs};
 use fedval_data::Dataset;
 use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 use fedval_linalg::{vector, Matrix};
@@ -235,15 +235,14 @@ fn push_train_case<M: Model + Clone>(
 /// ratios are informational: the committed run was made on another
 /// host or in another host phase, so they never fail the run.
 fn compare_against_committed(measurements: &[Measurement], baseline_path: &str) {
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        println!("(no committed baseline at {baseline_path}; skipping comparison)");
+    let Some(rows) = committed_rows(baseline_path, "case") else {
         return;
     };
     println!(
         "\n== vs committed {baseline_path} (current ÷ committed samples/sec; informational, not gated) =="
     );
     let mut matched = Vec::new();
-    for row in baseline.lines().filter(|l| l.contains("\"case\"")) {
+    for row in &rows {
         let (Some(case), Some(path)) = (scan_str(row, "case"), scan_str(row, "path")) else {
             continue;
         };

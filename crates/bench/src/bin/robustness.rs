@@ -27,7 +27,7 @@
 //! scenarios — the acceptance gate for the method the paper proposes.
 
 use comfedsv::experiments::Scenario;
-use fedval_bench::smoke::SmokeArgs;
+use fedval_bench::smoke::{committed_rows, SmokeArgs};
 use fedval_jsonio::{scan_num, scan_str, JsonWriter};
 use fedval_metrics::{detection_auc, precision_at_k};
 use fedval_shapley::ValuationSession;
@@ -111,7 +111,7 @@ fn main() {
             let report = match session.run(method, &oracle) {
                 Ok(r) => r,
                 Err(e) => {
-                    // No method in the registry should reject an 8-client
+                    // No built-in method should reject an 8-client
                     // oracle; surface it loudly rather than skipping.
                     eprintln!("{}/{method}: {e}", scenario.name);
                     std::process::exit(1);
@@ -192,14 +192,13 @@ fn main() {
 /// messages for any (scenario, method) whose AUC regressed by more than
 /// [`SMOKE_TOLERANCE`].
 fn compare_against_committed(rows: &[Row], baseline_path: &str) -> Vec<String> {
-    let Ok(baseline) = std::fs::read_to_string(baseline_path) else {
-        println!("(no committed baseline at {baseline_path}; skipping comparison)");
+    let Some(lines) = committed_rows(baseline_path, "scenario") else {
         return Vec::new();
     };
     println!("\n== vs committed {baseline_path} (AUC, current vs committed) ==");
     let mut failures = Vec::new();
     let mut matched = 0usize;
-    for line in baseline.lines().filter(|l| l.contains("\"scenario\"")) {
+    for line in &lines {
         let (Some(scenario), Some(method)) = (scan_str(line, "scenario"), scan_str(line, "method"))
         else {
             continue;

@@ -1,7 +1,8 @@
 //! Helpers shared by the gated smoke binaries (`cell_throughput`,
 //! `robustness`, `service_load`, `cache_effect`, `chaos`): flag
-//! parsing, min-of-N timing, the order-sensitive value checksum they
-//! compare runs by, and per-process scratch directories.
+//! parsing, min-of-N timing, the committed-baseline reader, the
+//! order-sensitive value checksum they compare runs by, and
+//! per-process scratch directories.
 
 use std::path::PathBuf;
 
@@ -64,6 +65,25 @@ pub fn min_of<const K: usize, T>(
     (best, out)
 }
 
+/// The rows of the committed baseline at `path`: its lines holding the
+/// field `key`, which every row object has and nothing else does. When
+/// the file cannot be read, prints a "(no committed baseline …)" line
+/// and returns `None`, so the caller skips its comparison.
+pub fn committed_rows(path: &str, key: &str) -> Option<Vec<String>> {
+    let Ok(baseline) = std::fs::read_to_string(path) else {
+        println!("(no committed baseline at {path}; skipping comparison)");
+        return None;
+    };
+    let marker = format!("\"{key}\"");
+    Some(
+        baseline
+            .lines()
+            .filter(|l| l.contains(&marker))
+            .map(str::to_string)
+            .collect(),
+    )
+}
+
 /// Bitwise checksum of a value vector (order-sensitive XOR-rotate) —
 /// enough to assert two runs produced identical bits, also across
 /// process boundaries.
@@ -116,6 +136,26 @@ mod tests {
         assert_eq!(best, [2.0, 0.5]);
         assert_eq!(last, 2);
         assert_eq!(seen, [0, 1, 2]);
+    }
+
+    #[test]
+    fn committed_rows_keep_the_marked_lines_of_a_readable_file() {
+        let dir = tmpdir("smoke", "committed-rows");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("B.json");
+        std::fs::write(
+            &path,
+            "{\n  \"rows\": [\n    {\"case\": \"a\", \"x\": 1},\n    {\"case\": \"b\"}\n  ]\n}\n",
+        )
+        .unwrap();
+        let path = path.to_str().unwrap();
+        assert_eq!(
+            committed_rows(path, "case").unwrap(),
+            [r#"    {"case": "a", "x": 1},"#, r#"    {"case": "b"}"#]
+        );
+        assert_eq!(committed_rows(path, "scenario").unwrap().len(), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(committed_rows(path, "case").is_none());
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl FlConfig {
         self
     }
 
-    /// The behavior of client `i` (honest beyond the configured list).
-    pub fn behavior_of(&self, i: usize) -> ClientBehavior {
-        self.behaviors.get(i).copied().unwrap_or_default()
-    }
-
     /// A stable fingerprint of every field that shapes a training run,
     /// for keying persisted traces by `(scenario, seed, fl-config)`
     /// *before* training happens. Hashes the `Debug` rendering — floats
@@ -136,7 +131,6 @@ mod tests {
         assert!(c.everyone_heard_round);
         assert!(c.batch_size.is_none());
         assert!(c.behaviors.is_empty());
-        assert_eq!(c.behavior_of(3), ClientBehavior::Honest);
         assert_eq!(c.learning_rate.at(0), 0.1);
     }
 
@@ -209,8 +203,9 @@ mod tests {
     fn behaviors_builder_indexes_per_client() {
         let c = FlConfig::new(1, 1, 0.1, 1)
             .with_behaviors(vec![ClientBehavior::Honest, ClientBehavior::FreeRider]);
-        assert_eq!(c.behavior_of(1), ClientBehavior::FreeRider);
-        // Beyond the list: honest.
-        assert_eq!(c.behavior_of(2), ClientBehavior::Honest);
+        assert_eq!(
+            c.behaviors,
+            vec![ClientBehavior::Honest, ClientBehavior::FreeRider]
+        );
     }
 }

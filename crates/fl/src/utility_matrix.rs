@@ -92,22 +92,6 @@ pub fn observed_entries(oracle: &UtilityOracle<'_>) -> Vec<ObservedEntry> {
         .collect()
 }
 
-/// The observation mask as `(row, column-bitmask)` pairs for a given trace —
-/// useful to tests and to the completion diagnostics.
-pub fn observed_mask(oracle: &UtilityOracle<'_>) -> Vec<(usize, u64)> {
-    let t = oracle.num_rounds();
-    let mut out = Vec::new();
-    for round in 0..t {
-        let selected = oracle.trace().selected(round);
-        for s in selected.subsets() {
-            if !s.is_empty() {
-                out.push((round, s.bits()));
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -185,7 +169,6 @@ mod tests {
         let oracle = UtilityOracle::new(&trace, &proto, &test);
         let obs = observed_entries(&oracle);
         assert_eq!(obs.len(), 31 + 3 * 3);
-        assert_eq!(observed_mask(&oracle).len(), obs.len());
     }
 
     #[test]

@@ -73,27 +73,6 @@ impl CholeskyFactor {
         substitute(self.l.as_slice(), &mut y, n);
         Ok(y)
     }
-
-    /// Solves `A X = B` column by column.
-    pub fn solve_matrix(&self, b: &Matrix) -> Result<Matrix> {
-        let n = self.dim();
-        if b.rows() != n {
-            return Err(LinalgError::ShapeMismatch {
-                op: "cholesky_solve_matrix",
-                lhs: (n, n),
-                rhs: b.shape(),
-            });
-        }
-        let mut out = Matrix::zeros(n, b.cols());
-        for j in 0..b.cols() {
-            let col = b.col(j);
-            let x = self.solve(&col)?;
-            for (i, v) in x.into_iter().enumerate() {
-                out.set(i, j, v);
-            }
-        }
-        Ok(out)
-    }
 }
 
 /// Overwrites the lower triangle of the row-major `n × n` matrix `g`
@@ -537,17 +516,6 @@ mod tests {
         let b = a.matvec(&x_true).unwrap();
         let x = CholeskyFactor::new(&a).unwrap().solve(&b).unwrap();
         for (u, v) in x.iter().zip(&x_true) {
-            assert!(approx(*u, *v, 1e-9));
-        }
-    }
-
-    #[test]
-    fn solve_matrix_handles_multiple_rhs() {
-        let a = spd_example();
-        let x_true = Matrix::from_rows(&[&[1.0, 0.0], &[0.5, 2.0], &[-1.0, 1.0]]).unwrap();
-        let b = a.matmul(&x_true).unwrap();
-        let x = CholeskyFactor::new(&a).unwrap().solve_matrix(&b).unwrap();
-        for (u, v) in x.as_slice().iter().zip(x_true.as_slice()) {
             assert!(approx(*u, *v, 1e-9));
         }
     }

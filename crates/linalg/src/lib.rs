@@ -8,7 +8,6 @@
 //! * vector kernels shared by the model/optimizer code ([`vector`]),
 //! * a Cholesky SPD solver used by the ALS matrix-completion sub-problems
 //!   ([`cholesky`]), with its four-lane kernels ([`lanes`]),
-//! * Householder QR for least-squares diagnostics ([`qr`]),
 //! * a one-sided Jacobi SVD used to reproduce the singular-value study of
 //!   the utility matrix (paper Fig. 2) ([`svd`]),
 //! * truncated-SVD based `ε`-rank estimation (paper Definition 3)
@@ -28,7 +27,6 @@ pub mod gemm;
 pub mod lanes;
 pub mod low_rank;
 pub mod matrix;
-pub mod qr;
 pub mod svd;
 pub mod tier;
 pub mod vector;
@@ -39,7 +37,6 @@ pub use error::LinalgError;
 pub use lanes::Lanes;
 pub use low_rank::{eps_rank_upper_bound, truncated_reconstruction};
 pub use matrix::Matrix;
-pub use qr::QrFactor;
 pub use svd::{singular_values, Svd};
 pub use tier::DeterminismTier;
 

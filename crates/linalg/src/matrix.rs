@@ -292,13 +292,6 @@ impl Matrix {
         })
     }
 
-    /// Scales every entry in place.
-    pub fn scale_in_place(&mut self, s: f64) {
-        for v in &mut self.data {
-            *v *= s;
-        }
-    }
-
     /// Frobenius norm `sqrt(Σ a_ij²)`.
     pub fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
@@ -307,17 +300,6 @@ impl Matrix {
     /// Maximum absolute entry (`‖·‖_max` of Definition 3).
     pub fn max_abs(&self) -> f64 {
         self.data.iter().fold(0.0_f64, |m, &v| m.max(v.abs()))
-    }
-
-    /// Maximum absolute column sum (`‖·‖₁` of Definition 5).
-    pub fn max_abs_col_sum(&self) -> f64 {
-        let mut sums = vec![0.0_f64; self.cols];
-        for i in 0..self.rows {
-            for (s, &v) in sums.iter_mut().zip(self.row(i)) {
-                *s += v.abs();
-            }
-        }
-        sums.into_iter().fold(0.0_f64, f64::max)
     }
 
     /// `true` when every entry is finite.
@@ -466,8 +448,6 @@ mod tests {
         let m = Matrix::from_rows(&[&[3.0, -4.0], &[0.0, 0.0]]).unwrap();
         assert!(approx(m.frobenius_norm(), 5.0));
         assert!(approx(m.max_abs(), 4.0));
-        // column sums of |.|: [3, 4]
-        assert!(approx(m.max_abs_col_sum(), 4.0));
     }
 
     #[test]
@@ -497,12 +477,5 @@ mod tests {
     fn col_extracts_column() {
         let m = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]).unwrap();
         assert_eq!(m.col(1), vec![2.0, 4.0]);
-    }
-
-    #[test]
-    fn scale_in_place_scales_every_entry() {
-        let mut m = Matrix::filled(2, 3, 2.0);
-        m.scale_in_place(0.5);
-        assert!(m.as_slice().iter().all(|&v| v == 1.0));
     }
 }

@@ -10,27 +10,23 @@
 //!   precision@k) for the robustness harness.
 //! * [`ranking`] — ranking helpers (bottom-k selection, rank assignment with
 //!   tie handling).
-//! * [`stats`] — summary statistics used across the harnesses.
+//! * [`stats`] — the share of a sample meeting a predicate (Example 1's
+//!   `P(d_{0,9} > 0.5)`).
 //! * [`relative_difference`] — the paper's fairness statistic
 //!   `d_{i,j} = |s_i − s_j| / max(s_i, s_j)` (equation (7)).
 
 pub mod detection;
 pub mod ecdf;
-pub mod gini;
 pub mod jaccard;
-pub mod kendall;
 pub mod ranking;
 pub mod spearman;
 pub mod stats;
 
 pub use detection::{detection_auc, precision_at_k, DetectionError};
 pub use ecdf::Ecdf;
-pub use gini::gini_coefficient;
 pub use jaccard::jaccard_index;
-pub use kendall::kendall_tau;
-pub use ranking::{bottom_k_indices, ranks_average_ties, top_k_indices};
+pub use ranking::{bottom_k_indices, ranks_average_ties};
 pub use spearman::spearman_rho;
-pub use stats::{mean, median, std_dev};
 
 /// Relative difference between two valuations (paper equation (7)):
 /// `d_{i,j} = |s_i − s_j| / max{s_i, s_j}`.

@@ -1,5 +1,5 @@
 //! Ranking helpers: rank assignment with average-tie handling and
-//! top-/bottom-k selection used by the detection experiments.
+//! bottom-k selection used by the detection experiments.
 
 /// Assigns fractional ranks (1-based) to `values`, averaging tied groups.
 ///
@@ -37,19 +37,6 @@ pub fn bottom_k_indices(values: &[f64], k: usize) -> Vec<usize> {
     order.sort_by(|&a, &b| {
         values[a]
             .partial_cmp(&values[b])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.cmp(&b))
-    });
-    order.truncate(k.min(values.len()));
-    order
-}
-
-/// Indices of the `k` largest values (ties broken by index).
-pub fn top_k_indices(values: &[f64], k: usize) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_by(|&a, &b| {
-        values[b]
-            .partial_cmp(&values[a])
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
@@ -99,18 +86,5 @@ mod tests {
     #[test]
     fn bottom_k_clamps_to_length() {
         assert_eq!(bottom_k_indices(&[2.0, 1.0], 10), vec![1, 0]);
-    }
-
-    #[test]
-    fn top_k_picks_largest() {
-        assert_eq!(top_k_indices(&[3.0, 1.0, 2.0], 2), vec![0, 2]);
-    }
-
-    #[test]
-    fn top_and_bottom_are_disjoint_when_possible() {
-        let v = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
-        let top: std::collections::HashSet<_> = top_k_indices(&v, 3).into_iter().collect();
-        let bot: std::collections::HashSet<_> = bottom_k_indices(&v, 3).into_iter().collect();
-        assert!(top.is_disjoint(&bot));
     }
 }

@@ -22,8 +22,8 @@
 //!   their own scope's jobs before taking anyone else's.
 //! * [`SchedPolicy::Fifo`] is the single strict-FIFO queue the pool
 //!   shipped with — kept as the measurable baseline (`service_load`
-//!   benchmarks one against the other) and selectable for the global
-//!   pool via `FEDVAL_SCHED=fifo`.
+//!   benchmarks one against the other) on pools built with
+//!   [`Pool::with_policy`](crate::Pool::with_policy).
 //!
 //! Neither policy changes *what* is computed: work items write to
 //! disjoint or write-once slots (the crate-wide determinism contract),
@@ -121,34 +121,6 @@ impl SchedPolicy {
             SchedPolicy::Fifo => "fifo",
         }
     }
-
-    /// Parses [`SchedPolicy::name`] back ("fair"/"fair_share"/"fifo").
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fair" | "fair_share" | "fair-share" => Some(SchedPolicy::FairShare),
-            "fifo" => Some(SchedPolicy::Fifo),
-            _ => None,
-        }
-    }
-
-    /// The policy requested by the `FEDVAL_SCHED` environment variable,
-    /// when set and valid; used by
-    /// [`Pool::global`](crate::Pool::global). A set but unrecognized
-    /// value logs one warning and reads as unset.
-    pub fn from_env() -> Option<Self> {
-        let raw = std::env::var("FEDVAL_SCHED").ok()?;
-        let policy = Self::parse(raw.trim());
-        if policy.is_none() {
-            static WARNED: std::sync::Once = std::sync::Once::new();
-            WARNED.call_once(|| {
-                eprintln!(
-                    "fedval_runtime: FEDVAL_SCHED={raw:?} is not a policy name \
-                     (expected \"fair\" or \"fifo\"); using the default"
-                );
-            });
-        }
-        policy
-    }
 }
 
 impl std::fmt::Display for SchedPolicy {
@@ -237,14 +209,8 @@ mod tests {
         }
         assert_eq!(JobClass::parse("nope"), None);
         for policy in [SchedPolicy::FairShare, SchedPolicy::Fifo] {
-            assert_eq!(SchedPolicy::parse(policy.name()), Some(policy));
             assert_eq!(format!("{policy}"), policy.name());
         }
-        assert_eq!(
-            SchedPolicy::parse("fair_share"),
-            Some(SchedPolicy::FairShare)
-        );
-        assert_eq!(SchedPolicy::parse("nope"), None);
     }
 
     #[test]

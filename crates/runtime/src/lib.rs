@@ -46,9 +46,10 @@
 //! keeps one FIFO per *(class, scope)* and drains classes by weighted
 //! round-robin (interactive : batch = 4 : 1), rotating between tenants
 //! of equal class, while helping threads prefer their own scope's jobs.
-//! `FEDVAL_SCHED=fifo` restores the original single strict-FIFO queue
-//! as a measurable baseline. Because of the determinism contract the
-//! policy affects latency only, never results.
+//! [`SchedPolicy::Fifo`] keeps the original single strict-FIFO queue as
+//! a measurable baseline for pools built with [`Pool::with_policy`].
+//! Because of the determinism contract the policy affects latency only,
+//! never results.
 
 pub mod cancel;
 pub mod class;

@@ -33,7 +33,7 @@
 //!   waits for its own scope runs its *own* scope's jobs first, and only
 //!   helps other tenants when its scope's queue is empty.
 //! * [`SchedPolicy::Fifo`] — the original single strict-FIFO queue,
-//!   kept as the measurable baseline (`FEDVAL_SCHED=fifo`): one tenant's
+//!   kept as the measurable baseline ([`Pool::with_policy`]): one tenant's
 //!   large batch makes every later submitter wait, and a helping thread
 //!   is conscripted into whatever sits at the queue head.
 //!
@@ -327,15 +327,9 @@ impl Pool {
     /// Its size is the `FEDVAL_THREADS` environment variable when that
     /// parses as a single positive integer (comma-separated lists — the
     /// `oracle_throughput` benchmark's sweep syntax — are ignored here),
-    /// otherwise the hardware parallelism. Its policy is `FEDVAL_SCHED`
-    /// (`fair` / `fifo`) when set and valid, otherwise fair share.
+    /// otherwise the hardware parallelism. Its policy is fair share.
     pub fn global() -> &'static Pool {
-        GLOBAL.get_or_init(|| {
-            Pool::with_policy(
-                global_threads(),
-                SchedPolicy::from_env().unwrap_or_default(),
-            )
-        })
+        GLOBAL.get_or_init(|| Pool::new(global_threads()))
     }
 
     /// The width [`Pool::global`] has — or will have when first used —

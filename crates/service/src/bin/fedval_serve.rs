@@ -5,9 +5,8 @@
 //! ```
 //!
 //! Serves the job API (see `fedval_service`'s crate docs for the routes
-//! and a curl walkthrough) on the global worker pool. Pool width and
-//! scheduling policy come from the usual environment knobs:
-//! `FEDVAL_THREADS` (width) and `FEDVAL_SCHED` (`fair` / `fifo`).
+//! and a curl walkthrough) on the global worker pool, which schedules
+//! fair share. Its width comes from the usual `FEDVAL_THREADS` knob.
 //!
 //! # Shutdown
 //!

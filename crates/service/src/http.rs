@@ -281,7 +281,7 @@ fn handle_health(stream: &mut TcpStream, manager: &JobManager) -> io::Result<()>
     };
     let body = wire::render_health(
         &snapshot,
-        &JobManager::method_names(),
+        JobManager::method_names(),
         &JobManager::scenario_names(),
     );
     respond(stream, 200, &body)

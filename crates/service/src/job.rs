@@ -33,7 +33,7 @@ use fedval_fl::trainer::RoundRecord;
 use fedval_fl::{ClientBehavior, Subset, TrainingTrace, UtilityOracle};
 use fedval_linalg::DeterminismTier;
 use fedval_runtime::{with_job_class, CancelToken, Cancelled, JobClass, PoolHandle};
-use fedval_shapley::{ValuationError, ValuationReport, ValuationSession};
+use fedval_shapley::{ValuationError, ValuationReport, ValuationSession, METHOD_NAMES};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 /// What to value and how, as submitted by a client.
 ///
-/// `method` keys the [`ValuationSession`] registry; `scenario` keys
+/// `method` is one of [`METHOD_NAMES`]; `scenario` keys
 /// [`Scenario::catalog`]. The optional overrides reshape the scenario's
 /// world (clients, data sizes, training length) without defining new
 /// scenarios; method hyper-parameters mirror the session builder's.
@@ -435,7 +435,7 @@ impl Job {
 /// Errors [`JobManager::submit`] reports without creating a job.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// `method` is not in the session registry.
+    /// `method` is not one of [`METHOD_NAMES`].
     UnknownMethod(String),
     /// `scenario` is not in the catalog.
     UnknownScenario(String),
@@ -623,9 +623,9 @@ impl JobManager {
         self.inner.cache.stats()
     }
 
-    /// The registry method keys jobs may request.
-    pub fn method_names() -> Vec<String> {
-        ValuationSession::builder().build().method_names()
+    /// The method keys jobs may request ([`METHOD_NAMES`]).
+    pub fn method_names() -> &'static [&'static str] {
+        &METHOD_NAMES
     }
 
     /// The catalog scenario names jobs may request.
@@ -659,7 +659,7 @@ impl JobManager {
         if self.is_draining() {
             return Err(SubmitError::ShuttingDown);
         }
-        if !Self::method_names().contains(&spec.method) {
+        if !METHOD_NAMES.contains(&spec.method.as_str()) {
             return Err(SubmitError::UnknownMethod(spec.method));
         }
         let scenario = spec
@@ -1149,11 +1149,10 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
     // least 2, so a 1-core host too): at parallelism 1 the oracle takes
     // a fully-inline path that the fair-share scheduler never sees.
     oracle.set_parallelism(inner.pool.threads().max(2));
-    // Apply the spec's tier to the oracle itself (not just the session)
-    // so the session never needs a fresh-cache retier clone — which
-    // would detach the shared cache. Tier before attaching: the cache
-    // keys cells by tier, and attaching loads that tier's disk
-    // segments.
+    // Apply the spec's tier to the oracle itself: the session follows
+    // the oracle's tier, so it values on this oracle rather than on a
+    // retiered clone. Tier before attaching: the cache keys cells by
+    // tier, and attaching loads that tier's disk segments.
     if let Some(tier) = spec.tier {
         oracle.set_tier(tier);
     }
@@ -1162,7 +1161,7 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
     trained.hand_fingerprint(&mut oracle);
     oracle.set_shared_cache(Arc::clone(&inner.cache));
     let progress_job = Arc::clone(job);
-    let mut builder = ValuationSession::builder()
+    let mut session = ValuationSession::builder()
         .rank(spec.rank)
         .permutations(spec.permutations)
         .samples(spec.samples)
@@ -1172,11 +1171,8 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
             progress_job
                 .events
                 .push(crate::wire::render_progress(progress_job.id, &event));
-        });
-    if let Some(tier) = spec.tier {
-        builder = builder.tier(tier);
-    }
-    let mut session = builder.build();
+        })
+        .build();
     let outcome = session.run(&spec.method, &oracle);
     job.set_cache_info(JobCacheInfo {
         world_reused,

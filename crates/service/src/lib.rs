@@ -1,6 +1,6 @@
 //! Multi-tenant valuation-as-a-service over the ComFedSV stack.
 //!
-//! This crate turns the library's [`ValuationSession`] registry into a
+//! This crate turns the library's [`ValuationSession`] methods into a
 //! small job service: clients `POST` a method + scenario spec, the
 //! [`JobManager`] runs each job on its own thread with
 //! an isolated [`UtilityOracle`](fedval_fl::UtilityOracle), and all

@@ -13,7 +13,7 @@
 //!
 //! [`JobManager::submit`]: crate::JobManager::submit
 
-use crate::job::{Job, JobSpec, JobStatus};
+use crate::job::{Job, JobSpec};
 use fedval_cache::CacheStats;
 use fedval_jsonio::{escaped, scan_num, scan_str, JsonWriter};
 use fedval_linalg::DeterminismTier;
@@ -210,7 +210,7 @@ pub struct HealthSnapshot<'a> {
 /// `degraded` flag), and the catalog of what can be submitted.
 pub fn render_health(
     health: &HealthSnapshot<'_>,
-    methods: &[String],
+    methods: &[&str],
     scenarios: &[String],
 ) -> String {
     let mut w = JsonWriter::new();
@@ -242,18 +242,6 @@ pub fn render_health(
     w.end_array();
     w.end_object();
     w.finish_inline()
-}
-
-/// Maps a terminal [`JobStatus`] to a human summary line streamed as
-/// the final event marker (informational only; the log's own terminal
-/// event carries the machine-readable stage).
-pub fn terminal_note(status: JobStatus) -> &'static str {
-    match status {
-        JobStatus::Done => "job finished",
-        JobStatus::Cancelled => "job cancelled",
-        JobStatus::Failed => "job failed",
-        _ => "job still running",
-    }
 }
 
 #[cfg(test)]
@@ -367,7 +355,7 @@ mod tests {
             policy: "fair",
             cache: CacheStats::default(),
         };
-        let body = render_health(&snapshot, &["comfedsv".into()], &["iid_baseline".into()]);
+        let body = render_health(&snapshot, &["comfedsv"], &["iid_baseline".into()]);
         assert!(body.contains("\"status\": \"ok\""));
         assert!(body.contains("\"active_jobs\": 2"));
         assert!(body.contains("\"capacity\": 32"));

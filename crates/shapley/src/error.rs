@@ -61,7 +61,8 @@ pub enum ValuationError {
     /// divergent solve).
     Completion(CompletionError),
     /// A [`ValuationSession`](crate::session::ValuationSession) was asked
-    /// for a method name that is not in its registry.
+    /// for a method name that is not one of
+    /// [`METHOD_NAMES`](crate::session::METHOD_NAMES).
     UnknownMethod {
         /// The unrecognized key.
         name: String,

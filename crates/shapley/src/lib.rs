@@ -14,7 +14,7 @@
 //!   [`RunContext`], and
 //!   [`ValuationReport`] diagnostics;
 //! * [`session`] — the [`ValuationSession`]
-//!   harness: seeding, progress callbacks, string-keyed method registry;
+//!   harness: seeding, progress callbacks, the methods by name;
 //! * [`error`] — the [`ValuationError`] type;
 //! * [`exact`] — the classical Shapley value (equation (5)) for arbitrary
 //!   utility functions over few players;
@@ -76,7 +76,7 @@ pub use fedsv::{FedSv, FedSvConfig};
 pub use group_testing::GroupTesting;
 pub use observation::{unfairness_probability, UnfairnessParams};
 pub use pipeline::{ComFedSv, CompletionSolver, EstimatorKind, ExactShapley, ValuationOutput};
-pub use session::{MethodDefaults, ValuationSession, ValuationSessionBuilder};
+pub use session::{MethodDefaults, ValuationSession, ValuationSessionBuilder, METHOD_NAMES};
 pub use theory::{path_length, prop1_rank_bound, prop2_rank_bound};
 pub use tmc::{Tmc, TmcOutput};
 pub use valuator::{Diagnostics, Progress, ProgressEvent, RunContext, ValuationReport, Valuator};

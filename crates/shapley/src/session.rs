@@ -2,8 +2,8 @@
 //!
 //! A [`ValuationSession`] owns the cross-method run state — the seed
 //! override, the progress callback, an optional ground-truth reference —
-//! and a string-keyed registry of [`Valuator`] factories, so experiment
-//! harnesses sweep every method through one loop:
+//! and builds each method's [`Valuator`] from its string key, so
+//! experiment harnesses sweep every method through one loop:
 //!
 //! ```
 //! use fedval_shapley::session::ValuationSession;
@@ -33,10 +33,10 @@
 //! }
 //! ```
 //!
-//! The default registry covers the paper's full method matrix: the exact
+//! [`METHOD_NAMES`] covers the paper's full method matrix: the exact
 //! ground truth, both FedSV estimators, both ComFedSV estimators, TMC,
-//! and group testing. [`ValuationSessionBuilder::register`] adds custom
-//! strategies under new keys.
+//! and group testing. A custom strategy runs through
+//! [`ValuationSession::run_valuator`].
 
 use crate::error::ValuationError;
 use crate::fairness::reference_report;
@@ -49,7 +49,19 @@ use fedval_fl::UtilityOracle;
 use fedval_linalg::DeterminismTier;
 use fedval_runtime::CancelToken;
 
-/// Hyper-parameter defaults the built-in registry hands to each method.
+/// The method keys [`ValuationSession::valuator`] accepts, in the order
+/// [`ValuationSession::run_all`] runs them.
+pub const METHOD_NAMES: [&str; 7] = [
+    "exact",
+    "fedsv",
+    "fedsv-mc",
+    "comfedsv",
+    "comfedsv-mc",
+    "tmc",
+    "group-testing",
+];
+
+/// Hyper-parameter defaults the session hands to each method.
 #[derive(Debug, Clone)]
 pub struct MethodDefaults {
     /// Completion rank `r` for ComFedSV.
@@ -88,9 +100,6 @@ impl Default for MethodDefaults {
     }
 }
 
-/// A named [`Valuator`] factory.
-type Factory = Box<dyn Fn(&MethodDefaults) -> Box<dyn Valuator> + Send + Sync>;
-
 /// Boxed progress callback stored by the session.
 type ProgressSink = Box<dyn FnMut(ProgressEvent<'_>)>;
 
@@ -104,11 +113,10 @@ pub struct ValuationSessionBuilder {
     isolated_runs: bool,
     tier: Option<DeterminismTier>,
     cancel: Option<CancelToken>,
-    extra: Vec<(String, Factory)>,
 }
 
 impl ValuationSessionBuilder {
-    /// Session-wide seed: overrides every registered method's own seed
+    /// Session-wide seed: overrides every built-in method's own seed
     /// (and is passed through [`RunContext`] to custom valuators).
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = Some(seed);
@@ -210,91 +218,10 @@ impl ValuationSessionBuilder {
         self
     }
 
-    /// Registers a custom method under `name` (later registrations win
-    /// over built-ins with the same key).
-    pub fn register(
-        mut self,
-        name: impl Into<String>,
-        factory: impl Fn(&MethodDefaults) -> Box<dyn Valuator> + Send + Sync + 'static,
-    ) -> Self {
-        self.extra.push((name.into(), Box::new(factory)));
-        self
-    }
-
     /// Finalizes the session.
     pub fn build(mut self) -> ValuationSession {
         if let Some(seed) = self.seed {
             self.defaults.seed = seed;
-        }
-        let mut registry: Vec<(String, Factory)> = vec![
-            (
-                "exact".into(),
-                Box::new(|_: &MethodDefaults| Box::new(ExactShapley) as Box<dyn Valuator>),
-            ),
-            (
-                "fedsv".into(),
-                Box::new(|_: &MethodDefaults| Box::new(FedSv::exact()) as Box<dyn Valuator>),
-            ),
-            (
-                "fedsv-mc".into(),
-                Box::new(|d: &MethodDefaults| {
-                    Box::new(FedSv::monte_carlo(FedSvConfig {
-                        permutations_per_round: None,
-                        seed: d.seed,
-                    })) as Box<dyn Valuator>
-                }),
-            ),
-            (
-                "comfedsv".into(),
-                Box::new(|d: &MethodDefaults| {
-                    Box::new(
-                        ComFedSv::exact(d.rank)
-                            .with_lambda(d.lambda)
-                            .with_solver(d.solver)
-                            .with_seed(d.seed),
-                    ) as Box<dyn Valuator>
-                }),
-            ),
-            (
-                "comfedsv-mc".into(),
-                Box::new(|d: &MethodDefaults| {
-                    let mut cfg = ComFedSv::exact(d.rank)
-                        .with_lambda(d.lambda)
-                        .with_solver(d.solver)
-                        .with_seed(d.seed);
-                    cfg.estimator = EstimatorKind::MonteCarlo {
-                        num_permutations: d.permutations,
-                    };
-                    Box::new(cfg) as Box<dyn Valuator>
-                }),
-            ),
-            (
-                "tmc".into(),
-                Box::new(|d: &MethodDefaults| {
-                    Box::new(Tmc {
-                        permutations: d.permutations,
-                        truncation_tol: d.truncation_tol,
-                        seed: d.seed,
-                        ..Tmc::default()
-                    }) as Box<dyn Valuator>
-                }),
-            ),
-            (
-                "group-testing".into(),
-                Box::new(|d: &MethodDefaults| {
-                    Box::new(GroupTesting {
-                        num_samples: d.samples,
-                        seed: d.seed,
-                    }) as Box<dyn Valuator>
-                }),
-            ),
-        ];
-        for (name, factory) in self.extra {
-            if let Some(slot) = registry.iter_mut().find(|(n, _)| *n == name) {
-                slot.1 = factory;
-            } else {
-                registry.push((name, factory));
-            }
         }
         ValuationSession {
             defaults: self.defaults,
@@ -304,13 +231,12 @@ impl ValuationSessionBuilder {
             isolated_runs: self.isolated_runs,
             tier: self.tier,
             cancel: self.cancel.unwrap_or_default(),
-            registry,
         }
     }
 }
 
 /// The cross-method harness: seeding, progress, ground-truth comparison,
-/// and the string-keyed method registry. Construct with
+/// and the string-keyed built-in methods. Construct with
 /// [`ValuationSession::builder`].
 pub struct ValuationSession {
     defaults: MethodDefaults,
@@ -320,7 +246,6 @@ pub struct ValuationSession {
     isolated_runs: bool,
     tier: Option<DeterminismTier>,
     cancel: CancelToken,
-    registry: Vec<(String, Factory)>,
 }
 
 impl ValuationSession {
@@ -334,7 +259,6 @@ impl ValuationSession {
             isolated_runs: false,
             tier: None,
             cancel: None,
-            extra: Vec::new(),
         }
     }
 
@@ -358,16 +282,6 @@ impl ValuationSession {
         self.cancel = CancelToken::new();
     }
 
-    /// See [`ValuationSessionBuilder::isolated_runs`].
-    pub fn set_isolated_runs(&mut self, isolated: bool) {
-        self.isolated_runs = isolated;
-    }
-
-    /// Whether runs currently get a fresh oracle cache.
-    pub fn isolated_runs(&self) -> bool {
-        self.isolated_runs
-    }
-
     /// See [`ValuationSessionBuilder::tier`]. `None` clears the
     /// override (runs follow the oracle's tier again).
     pub fn set_tier(&mut self, tier: Option<DeterminismTier>) {
@@ -379,21 +293,50 @@ impl ValuationSession {
         self.tier
     }
 
-    /// The registered method keys, in registration order.
+    /// The method keys, [`METHOD_NAMES`] as owned strings.
     pub fn method_names(&self) -> Vec<String> {
-        self.registry.iter().map(|(n, _)| n.clone()).collect()
+        METHOD_NAMES.iter().map(|n| n.to_string()).collect()
     }
 
-    /// Constructs the valuator registered under `name`.
+    /// Constructs the method keyed `name` with the session's defaults.
     pub fn valuator(&self, name: &str) -> Result<Box<dyn Valuator>, ValuationError> {
-        self.registry
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, f)| f(&self.defaults))
-            .ok_or_else(|| ValuationError::UnknownMethod { name: name.into() })
+        let d = &self.defaults;
+        let comfedsv = || {
+            ComFedSv::exact(d.rank)
+                .with_lambda(d.lambda)
+                .with_solver(d.solver)
+                .with_seed(d.seed)
+        };
+        Ok(match name {
+            "exact" => Box::new(ExactShapley),
+            "fedsv" => Box::new(FedSv::exact()),
+            "fedsv-mc" => Box::new(FedSv::monte_carlo(FedSvConfig {
+                permutations_per_round: None,
+                seed: d.seed,
+            })),
+            "comfedsv" => Box::new(comfedsv()),
+            "comfedsv-mc" => {
+                let mut cfg = comfedsv();
+                cfg.estimator = EstimatorKind::MonteCarlo {
+                    num_permutations: d.permutations,
+                };
+                Box::new(cfg)
+            }
+            "tmc" => Box::new(Tmc {
+                permutations: d.permutations,
+                truncation_tol: d.truncation_tol,
+                seed: d.seed,
+                ..Tmc::default()
+            }),
+            "group-testing" => Box::new(GroupTesting {
+                num_samples: d.samples,
+                seed: d.seed,
+            }),
+            _ => return Err(ValuationError::UnknownMethod { name: name.into() }),
+        })
     }
 
-    /// Runs the method registered under `name` against `oracle`.
+    /// Runs the method keyed `name` against `oracle`.
     pub fn run(
         &mut self,
         name: &str,
@@ -445,7 +388,8 @@ impl ValuationSession {
         Ok(report)
     }
 
-    /// Runs every registered method, pairing each key with its outcome.
+    /// Runs every method of [`METHOD_NAMES`] in order, pairing each key
+    /// with its outcome.
     /// Methods that reject the oracle (e.g. "exact" beyond the
     /// enumeration gate) report their error instead of aborting the
     /// sweep.
@@ -459,25 +403,23 @@ impl ValuationSession {
         &mut self,
         oracle: &UtilityOracle<'_>,
     ) -> Vec<(String, Result<ValuationReport, ValuationError>)> {
-        let names = self.method_names();
-        let total = names.len();
-        names
-            .into_iter()
+        let total = METHOD_NAMES.len();
+        METHOD_NAMES
+            .iter()
             .enumerate()
-            .map(|(i, name)| {
+            .map(|(i, &name)| {
                 if let Some(cb) = self.progress.as_mut() {
                     cb(ProgressEvent {
-                        method: &name,
+                        method: name,
                         stage: "method",
                         progress: crate::valuator::Progress::Method {
                             index: i + 1,
                             total,
-                            name: &name,
+                            name,
                         },
                     });
                 }
-                let outcome = self.run(&name, oracle);
-                (name, outcome)
+                (name.to_string(), self.run(name, oracle))
             })
             .collect()
     }
@@ -514,18 +456,26 @@ mod tests {
 
     #[test]
     fn default_registry_covers_all_methods() {
+        // `run_all`'s progress indices and the service's method listing
+        // follow this order.
         let session = ValuationSession::builder().build();
         let names = session.method_names();
-        for expected in [
-            "exact",
-            "fedsv",
-            "fedsv-mc",
-            "comfedsv",
-            "comfedsv-mc",
-            "tmc",
-            "group-testing",
-        ] {
-            assert!(names.iter().any(|n| n == expected), "missing {expected}");
+        assert_eq!(
+            names,
+            [
+                "exact",
+                "fedsv",
+                "fedsv-mc",
+                "comfedsv",
+                "comfedsv-mc",
+                "tmc",
+                "group-testing",
+            ]
+        );
+        // Every key builds the method it names.
+        for name in &names {
+            let valuator = session.valuator(name).unwrap();
+            assert_eq!(valuator.name(), name);
         }
     }
 
@@ -838,7 +788,7 @@ mod tests {
     }
 
     #[test]
-    fn custom_registration_overrides_builtin() {
+    fn custom_valuator_runs_through_run_valuator() {
         struct Zeros;
         impl Valuator for Zeros {
             fn name(&self) -> &'static str {
@@ -859,14 +809,12 @@ mod tests {
         let (trace, proto, test) = world(5);
         let oracle = fedval_fl::UtilityOracle::new(&trace, &proto, &test);
         let mut session = ValuationSession::builder()
-            .register("zeros", |_| Box::new(Zeros))
-            .register("tmc", |_| Box::new(Zeros))
+            .ground_truth(vec![0.0; 5])
             .build();
-        assert_eq!(session.run("zeros", &oracle).unwrap().values, vec![0.0; 5]);
-        // The built-in "tmc" key now resolves to the custom strategy.
-        assert_eq!(session.run("tmc", &oracle).unwrap().values, vec![0.0; 5]);
-        // Re-registering did not duplicate the key.
-        let names = session.method_names();
-        assert_eq!(names.iter().filter(|n| *n == "tmc").count(), 1);
+        let report = session.run_valuator(&Zeros, &oracle).unwrap();
+        assert_eq!(report.values, vec![0.0; 5]);
+        // The session's ground-truth comparison applies to it as well.
+        assert_eq!(report.diagnostics.fairness.unwrap().epsilon, 0.0);
+        assert!(session.valuator("zeros").is_err(), "no key to register");
     }
 }

@@ -22,7 +22,7 @@
 //! configurations never panic. Methods are driven either directly
 //! (`valuator.value(&oracle, &mut RunContext::new())`) or through a
 //! [`ValuationSession`](crate::session::ValuationSession), which owns
-//! seeding, progress callbacks, and a string-keyed method registry.
+//! seeding, progress callbacks, and the built-in methods by name.
 
 use crate::error::ValuationError;
 use crate::fairness::ReferenceReport;
@@ -206,8 +206,8 @@ pub struct ValuationReport {
 
 /// A data-valuation strategy over a recorded federated run.
 ///
-/// Object-safe: methods are held as `Box<dyn Valuator>` by the session
-/// registry and swept uniformly. Implementations validate their
+/// Object-safe: the session builds its methods as `Box<dyn Valuator>`
+/// and sweeps them uniformly. Implementations validate their
 /// configuration against the oracle and return typed errors; they must
 /// be deterministic given the oracle and the effective seed.
 pub trait Valuator {

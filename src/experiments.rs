@@ -18,41 +18,6 @@ use fedval_fl::{
 };
 use fedval_models::{Activation, Cnn, CnnConfig, LogisticRegression, Mlp, Model};
 use fedval_runtime::{CancelToken, Cancelled};
-use fedval_shapley::{ValuationError, ValuationReport, ValuationSession};
-
-/// Sweeps valuation methods over a recorded run through one
-/// [`ValuationSession`] — the cross-method harness the examples and the
-/// per-figure benchmark bins share. With an empty `names` slice every
-/// registered method runs (in registry order); otherwise only the named
-/// ones, in the given order. Methods that reject the oracle (e.g.
-/// "exact" beyond the enumeration gate) report their typed error instead
-/// of aborting the sweep.
-///
-/// Because the sweep exists to *compare* methods (the paper's Fig.-8
-/// running-time axis is `cells_evaluated`), it forces the session into
-/// isolated-runs mode: every method gets a fresh oracle cache, so each
-/// report's `cells_evaluated` is that method's full standalone cost
-/// rather than "whatever the earlier methods had not already evaluated".
-/// The previous mode is restored before returning; drive the session
-/// directly if you want shared-cache accounting.
-pub fn sweep_methods(
-    session: &mut ValuationSession,
-    oracle: &UtilityOracle<'_>,
-    names: &[&str],
-) -> Vec<(String, Result<ValuationReport, ValuationError>)> {
-    let previous = session.isolated_runs();
-    session.set_isolated_runs(true);
-    let results = if names.is_empty() {
-        session.run_all(oracle)
-    } else {
-        names
-            .iter()
-            .map(|&n| (n.to_string(), session.run(n, oracle)))
-            .collect()
-    };
-    session.set_isolated_runs(previous);
-    results
-}
 
 /// Which of the paper's four tasks to build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -706,63 +671,6 @@ mod tests {
         assert!(u.is_finite());
         let acc = w.test_accuracy(&trace.final_params);
         assert!((0.0..=1.0).contains(&acc));
-    }
-
-    #[test]
-    fn sweep_methods_runs_named_and_all() {
-        let w = ExperimentBuilder::synthetic(true)
-            .num_clients(4)
-            .samples_per_client(25)
-            .seed(9)
-            .build();
-        let trace = w.train(&FlConfig::new(3, 2, 0.2, 9));
-        let oracle = w.oracle(&trace);
-        let mut session = fedval_shapley::ValuationSession::builder()
-            .rank(3)
-            .permutations(20)
-            .seed(9)
-            .build();
-        let named = sweep_methods(&mut session, &oracle, &["fedsv", "comfedsv"]);
-        assert_eq!(named.len(), 2);
-        assert_eq!(named[0].0, "fedsv");
-        assert!(named.iter().all(|(_, r)| r.is_ok()));
-        let all = sweep_methods(&mut session, &oracle, &[]);
-        assert_eq!(all.len(), session.method_names().len());
-    }
-
-    #[test]
-    fn sweep_methods_reports_isolated_per_method_costs() {
-        let w = ExperimentBuilder::synthetic(true)
-            .num_clients(4)
-            .samples_per_client(25)
-            .seed(13)
-            .build();
-        let trace = w.train(&FlConfig::new(3, 2, 0.2, 13));
-        let oracle = w.oracle(&trace);
-        let mut session = fedval_shapley::ValuationSession::builder()
-            .rank(3)
-            .permutations(20)
-            .seed(13)
-            .build();
-        // Sweep order must not affect the reported cost: "fedsv" costs
-        // the same whether it runs after "exact" (whose grid covers all
-        // of fedsv's cells) or alone.
-        let after_exact = sweep_methods(&mut session, &oracle, &["exact", "fedsv"]);
-        let alone = sweep_methods(&mut session, &oracle, &["fedsv"]);
-        let cost = |r: &[(String, Result<ValuationReport, ValuationError>)], name: &str| {
-            r.iter()
-                .find(|(n, _)| n == name)
-                .unwrap()
-                .1
-                .as_ref()
-                .unwrap()
-                .diagnostics
-                .cells_evaluated
-        };
-        assert!(cost(&after_exact, "fedsv") > 0);
-        assert_eq!(cost(&after_exact, "fedsv"), cost(&alone, "fedsv"));
-        // And the sweep restored the session's shared-cache mode.
-        assert!(!session.isolated_runs());
     }
 
     #[test]

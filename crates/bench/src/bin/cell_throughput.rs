@@ -28,12 +28,20 @@
 //!   a utility-oracle cell costs), samples/sec likewise;
 //! * `logistic_cell_loss` — the same for perfbench's cell (a logistic
 //!   model, d=60, C=10, 160 test rows): the cold job's hot loop;
-//! * `logistic_epilogue` — that cell's loss epilogue alone, the row
-//!   reductions over its 160 × 10 logits: the per-row
-//!   `vector::log_sum_exp` loop against `vector::cross_entropy_rows`
-//!   (one row per `f64` lane), asserted bit-identical. Reported, not
+//! * `logistic_epilogue` — the row reductions over that cell's 160 × 10
+//!   logits: the per-row `vector::log_sum_exp` loop against
+//!   `vector::cross_entropy_rows` (one row per `f64` lane), asserted
+//!   bit-identical. `cross_entropy_rows` is still the epilogue of the
+//!   MLP and CNN losses and of every gradient, but the BitExact logistic
+//!   cell no longer calls it (see `logistic_fused`). Reported, not
 //!   gated. The epilogue is the same in both tiers, so it has no `fast`
-//!   row.
+//!   row;
+//! * `logistic_fused` — that cell's whole BitExact loss after the
+//!   parameters: its `per_sample` row times the three steps
+//!   `gemm::gemm_nt_into`, `gemm::add_bias_rows` and
+//!   `vector::cross_entropy_rows`, its `batched` row the one-pass
+//!   `vector::linear_cross_entropy` the cell runs, asserted
+//!   bit-identical. Reported, not gated; BitExact only.
 //!
 //! Output: an aligned table on stdout and machine-readable JSON written
 //! to `target/BENCH_cell_throughput.json` (schema documented in the
@@ -52,7 +60,7 @@
 use fedval_bench::smoke::{committed_rows, min_of, value_checksum, SmokeArgs};
 use fedval_data::Dataset;
 use fedval_jsonio::{scan_num, scan_str, JsonWriter};
-use fedval_linalg::{vector, Matrix};
+use fedval_linalg::{gemm, vector, Matrix};
 use fedval_models::{
     optim::SgdScratch, Activation, Cnn, CnnConfig, DeterminismTier, LogisticRegression, Mlp, Model,
 };
@@ -67,8 +75,8 @@ const MIN_BATCHED_SPEEDUP: f64 = 1.2;
 
 /// The cases the speed gate covers. `cnn_train` is reported but not
 /// gated: its batched path runs at about the per-sample speed.
-/// `logistic_epilogue` is reported only: it times one kernel of the
-/// gated `logistic_cell_loss`.
+/// `logistic_epilogue` and `logistic_fused` are reported only: they
+/// time kernels, not a model.
 const GATED_CASES: [&str; 4] = [
     "mlp_train",
     "logistic_train",
@@ -362,20 +370,79 @@ fn push_epilogue_case(
         acc_lanes.to_bits(),
         "{case}: the row-per-lane epilogue diverged from the per-row loop"
     );
-    for (path, seconds, acc) in [
-        ("per_sample", secs_rows, acc_rows),
-        ("batched", secs_lanes, acc_lanes),
-    ] {
+    push_kernel_rows(
+        out,
+        case,
+        labels.len(),
+        reps,
+        [(secs_rows, acc_rows), (secs_lanes, acc_lanes)],
+    );
+}
+
+/// Records a kernel case's two BitExact rows: its reference as
+/// `per_sample`, the kernel under test as `batched`, each as
+/// `(seconds, summed result)`.
+fn push_kernel_rows(
+    out: &mut Vec<Measurement>,
+    case: &'static str,
+    samples: usize,
+    passes: usize,
+    [reference, kernel]: [(f64, f64); 2],
+) {
+    for (path, (seconds, acc)) in [("per_sample", reference), ("batched", kernel)] {
         out.push(Measurement {
             case,
             path,
             tier: "bit_exact",
-            samples: labels.len(),
-            passes: reps,
+            samples,
+            passes,
             seconds,
             checksum: acc.to_bits(),
         });
     }
+}
+
+/// Times `reps` evaluations of a logistic cell's loss sum after its
+/// parameters two ways: the three steps (logits GEMM, bias, row-per-lane
+/// epilogue) against the one-pass [`vector::linear_cross_entropy`].
+/// Asserts the sums bit-identical.
+fn push_fused_case(
+    out: &mut Vec<Measurement>,
+    case: &'static str,
+    model: &LogisticRegression,
+    data: &Dataset,
+    reps: usize,
+) {
+    let (classes, dim) = (model.num_classes(), model.dim());
+    let (w, b) = model.params().split_at(classes * dim);
+    let (x, labels) = (data.features().as_slice(), data.labels());
+    let mut logits = vec![0.0; labels.len() * classes];
+    let mut scratch = gemm::Scratch::new();
+    let ([secs_steps, secs_fused], [acc_steps, acc_fused]) = min_of(REPS, |_| {
+        let (secs_steps, acc_steps) = time_sum(reps, || {
+            let x = std::hint::black_box(x);
+            gemm::gemm_nt_into(x, w, &mut logits, labels.len(), dim, classes, &mut scratch);
+            gemm::add_bias_rows(&mut logits, classes, b);
+            vector::cross_entropy_rows(&logits, classes, labels, 0.0)
+        });
+        let (secs_fused, acc_fused) = time_sum(reps, || {
+            let x = std::hint::black_box(x);
+            vector::linear_cross_entropy(x, w, b, labels, 0.0)
+        });
+        ([secs_steps, secs_fused], [acc_steps, acc_fused])
+    });
+    assert_eq!(
+        acc_steps.to_bits(),
+        acc_fused.to_bits(),
+        "{case}: the one-pass loss diverged from the three steps"
+    );
+    push_kernel_rows(
+        out,
+        case,
+        labels.len(),
+        reps,
+        [(secs_steps, acc_steps), (secs_fused, acc_fused)],
+    );
 }
 
 fn main() {
@@ -474,6 +541,13 @@ fn main() {
         "logistic_epilogue",
         &cell_logits,
         cell_test.labels(),
+        passes * 100,
+    );
+    push_fused_case(
+        &mut measurements,
+        "logistic_fused",
+        &cell_model,
+        &cell_test,
         passes * 100,
     );
 

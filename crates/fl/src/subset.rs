@@ -97,14 +97,13 @@ impl Subset {
 
     /// Member indices in increasing order.
     pub fn members(self) -> Vec<usize> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut bits = self.0;
-        while bits != 0 {
-            let i = bits.trailing_zeros() as usize;
-            out.push(i);
-            bits &= bits - 1;
-        }
-        out
+        self.iter().collect()
+    }
+
+    /// Iterates over the member indices in increasing order, without
+    /// allocating.
+    pub fn iter(self) -> Members {
+        Members(self.0)
     }
 
     /// Iterates over every subset of `self` (including the empty set and
@@ -115,6 +114,23 @@ impl Subset {
             current: 0,
             done: false,
         }
+    }
+}
+
+/// The members of a [`Subset`], in increasing order: the set bits,
+/// lowest first.
+#[derive(Debug, Clone)]
+pub struct Members(u64);
+
+impl Iterator for Members {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        (self.0 != 0).then(|| {
+            let i = self.0.trailing_zeros() as usize;
+            self.0 &= self.0 - 1;
+            i
+        })
     }
 }
 

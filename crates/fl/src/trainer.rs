@@ -50,20 +50,21 @@ impl TrainingTrace {
     /// FedAvg aggregate of the round-`t` local models over subset `s`
     /// (`w̄_S = mean_{k∈S} w^{t+1}_k`). `None` for the empty subset.
     pub fn aggregate(&self, t: usize, s: Subset) -> Option<Vec<f64>> {
-        let mut out = Vec::new();
-        self.aggregate_into(t, s, &mut out).then_some(out)
+        fedval_linalg::vector::mean_of(self.members_of(t, s))
     }
 
     /// [`aggregate`](TrainingTrace::aggregate) into a caller-provided
-    /// buffer (the oracle's per-cell allocation-free path); returns
+    /// buffer of the parameter count, such as a scratch model's
+    /// parameters (the oracle's per-cell allocation-free path); returns
     /// `false` without touching `out` for the empty subset.
-    pub fn aggregate_into(&self, t: usize, s: Subset, out: &mut Vec<f64>) -> bool {
-        let record = &self.rounds[t];
-        let vectors = s
-            .members()
-            .into_iter()
-            .map(|k| record.local_params[k].as_slice());
-        fedval_linalg::vector::mean_into(vectors, out)
+    pub fn aggregate_into(&self, t: usize, s: Subset, out: &mut [f64]) -> bool {
+        fedval_linalg::vector::mean_into(self.members_of(t, s), out)
+    }
+
+    /// The round-`t` local models of `s`'s members, in member order.
+    fn members_of(&self, t: usize, s: Subset) -> impl Iterator<Item = &[f64]> + Clone {
+        let local = &self.rounds[t].local_params;
+        s.iter().map(move |k| local[k].as_slice())
     }
 }
 
@@ -135,10 +136,7 @@ pub fn try_train_federated(
 
         // Aggregate the selected local models into the next global model.
         let next_global = {
-            let vectors = selected
-                .members()
-                .into_iter()
-                .map(|i| local_params[i].as_slice());
+            let vectors = selected.iter().map(|i| local_params[i].as_slice());
             fedval_linalg::vector::mean_of(vectors).expect("selected set is non-empty")
         };
 

@@ -147,14 +147,13 @@ impl EvalPlan {
     }
 }
 
-/// Per-worker evaluation state: a scratch model, its reusable minibatch
+/// Per-worker evaluation state: a scratch model, whose parameters each
+/// cell's FedAvg aggregate overwrites, and its reusable minibatch
 /// [`Workspace`] (the batched loss kernels run allocation-free through
-/// it), and the FedAvg aggregate buffer. One per batch worker, one
-/// behind the serial-path mutex.
+/// it). One per batch worker, one behind the serial-path mutex.
 struct CellScratch {
     model: Box<dyn Model>,
     ws: Workspace,
-    aggregate: Vec<f64>,
 }
 
 impl CellScratch {
@@ -162,7 +161,6 @@ impl CellScratch {
         CellScratch {
             model,
             ws: Workspace::new().with_tier(tier),
-            aggregate: Vec::new(),
         }
     }
 }
@@ -602,9 +600,9 @@ impl<'a> UtilityOracle<'a> {
     }
 
     /// Evaluates one cell on the given scratch state: FedAvg aggregate
-    /// into the reusable buffer, batched loss through the reusable
-    /// workspace, observing `cancel` between minibatch chunks. Counted
-    /// on completion; an abandoned evaluation is not counted.
+    /// into the scratch model's parameters, batched loss through the
+    /// reusable workspace, observing `cancel` between minibatch chunks.
+    /// Counted on completion; an abandoned evaluation is not counted.
     fn compute_cell(
         &self,
         scratch: &mut CellScratch,
@@ -612,9 +610,10 @@ impl<'a> UtilityOracle<'a> {
         s: Subset,
         cancel: &CancelToken,
     ) -> Result<f64, Cancelled> {
-        let found = self.trace.aggregate_into(t, s, &mut scratch.aggregate);
+        // The parameters are a model's only state (the `Model`
+        // contract), so the aggregate is written straight into them.
+        let found = self.trace.aggregate_into(t, s, scratch.model.params_mut());
         assert!(found, "non-empty subset aggregates");
-        scratch.model.set_params(&scratch.aggregate);
         let loss = scratch
             .model
             .loss_with(self.test_data, &mut scratch.ws, cancel)?;

@@ -30,9 +30,14 @@
 //! **The fused op set.** `FusedLanes` is a second, separate op set that
 //! has fused multiply-add, on AVX2+FMA `__m256d` and on portable
 //! `[f64; 4]` with `f64::mul_add`. It carries glibc's `exp`, ported bit
-//! for bit, and the loss epilogue built on it (the `fused` module). A
-//! fused multiply-add rounds once in both instantiations, so they too
-//! give the same bits. The ridge kernels above never use it.
+//! for bit, the loss epilogue built on it, and the one-pass logistic
+//! loss `vector::linear_cross_entropy`, whose logits (one row per lane,
+//! one accumulator per class, 1–12 classes) are summed with separate
+//! multiplies and adds and never fused, so they keep the bits of
+//! `gemm::gemm_nt_into` (the `fused` module). A fused multiply-add
+//! rounds once in both instantiations, so they too give the same bits;
+//! on a CPU without FMA the portable one pays a libm `fma` call for
+//! each. The ridge kernels above never use it.
 
 use crate::Matrix;
 

@@ -39,8 +39,24 @@
 //! logit. So a row's results have the bits of
 //! [`vector::log_sum_exp`](crate::vector::log_sum_exp) and
 //! [`vector::softmax_into`](crate::vector::softmax_into) on it.
+//!
+//! **The linear cross-entropy.** [`FusedLanes::linear_cross_entropy`]
+//! is a logistic model's whole loss in one pass: the logits
+//! `x · Wᵀ + bias`, then the epilogue above, without writing the logits
+//! out. Each pack of four rows keeps one accumulator per class, one row
+//! per lane; four `x` values of each row are loaded at a time and
+//! transposed in registers (a last 1–3 columns are gathered). Each
+//! accumulator starts at `+0.0` and adds `x · w` with `k` ascending, a
+//! separately rounded multiply then an add, as
+//! [`gemm::gemm_nt_into`](crate::gemm::gemm_nt_into) does; then it adds
+//! the bias, as [`gemm::add_bias_rows`](crate::gemm::add_bias_rows)
+//! does, and the epilogue runs on the accumulators. So each row's loss
+//! has the bits of those three steps. The kernel is const-generic over
+//! the class count, 1–[`LINEAR_MAX_CLASSES`], so the accumulators stay
+//! in registers.
 
 use crate::cpu;
+use crate::vector::LINEAR_MAX_CLASSES;
 
 /// Which instantiation of the fused op set runs. Only
 /// [`FusedLanes::avx2_fma`] makes the AVX2+FMA one, and only on a CPU
@@ -125,6 +141,57 @@ impl FusedLanes {
                 // SAFETY: as in `exp`.
                 unsafe { avx2_fma(logits, classes, labels, total) }
             }
+            #[cfg(not(target_arch = "x86_64"))]
+            FusedIsa::Avx2Fma => unreachable!("FusedLanes::avx2_fma is None off x86-64"),
+        }
+    }
+
+    /// `total` plus, row by row in order, the cross-entropy of the row's
+    /// logits `x_r · Wᵀ + bias` against its label: `x` is `labels.len()`
+    /// rows of `k`, `w` is `bias.len()` rows of `k`, row-major.
+    /// Bit-identical to [`gemm::gemm_nt_into`](crate::gemm::gemm_nt_into),
+    /// [`gemm::add_bias_rows`](crate::gemm::add_bias_rows) and
+    /// [`Self::cross_entropy_rows`] (see the module docs).
+    ///
+    /// # Panics
+    ///
+    /// Unless `1 ≤ bias.len() ≤ LINEAR_MAX_CLASSES` and the lengths fit
+    /// those shapes.
+    pub(crate) fn linear_cross_entropy(
+        self,
+        x: &[f64],
+        w: &[f64],
+        bias: &[f64],
+        labels: &[usize],
+        total: f64,
+    ) -> f64 {
+        macro_rules! by_classes {
+            ($kernel:ident) => {
+                match bias.len() {
+                    1 => $kernel::<1>(x, w, bias, labels, total),
+                    2 => $kernel::<2>(x, w, bias, labels, total),
+                    3 => $kernel::<3>(x, w, bias, labels, total),
+                    4 => $kernel::<4>(x, w, bias, labels, total),
+                    5 => $kernel::<5>(x, w, bias, labels, total),
+                    6 => $kernel::<6>(x, w, bias, labels, total),
+                    7 => $kernel::<7>(x, w, bias, labels, total),
+                    8 => $kernel::<8>(x, w, bias, labels, total),
+                    9 => $kernel::<9>(x, w, bias, labels, total),
+                    10 => $kernel::<10>(x, w, bias, labels, total),
+                    11 => $kernel::<11>(x, w, bias, labels, total),
+                    12 => $kernel::<12>(x, w, bias, labels, total),
+                    c => panic!(
+                        "linear_cross_entropy serves 1..={LINEAR_MAX_CLASSES} classes, not {c}"
+                    ),
+                }
+            };
+        }
+        match self.0 {
+            FusedIsa::Portable => by_classes!(linear_cross_entropy_portable),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: only `FusedLanes::avx2_fma` makes this
+            // instantiation, after detecting AVX2 and FMA.
+            FusedIsa::Avx2Fma => unsafe { by_classes!(linear_cross_entropy_avx2_fma) },
             #[cfg(not(target_arch = "x86_64"))]
             FusedIsa::Avx2Fma => unreachable!("FusedLanes::avx2_fma is None off x86-64"),
         }
@@ -341,6 +408,8 @@ pub(crate) trait Fused: Copy {
 pub(crate) trait Fused4: Fused {
     fn from_array(v: [f64; 4]) -> Self;
     fn to_array(self) -> [f64; 4];
+    /// The 4 × 4 transpose: lane `j` of output `i` is `rows[j][i]`.
+    fn transpose(rows: [&[f64; 4]; 4]) -> [Self; 4];
 }
 
 impl Fused for f64 {
@@ -447,6 +516,10 @@ impl Fused4 for [f64; 4] {
     fn to_array(self) -> [f64; 4] {
         self
     }
+    #[inline(always)]
+    fn transpose(rows: [&[f64; 4]; 4]) -> [Self; 4] {
+        std::array::from_fn(|i| rows.map(|row| row[i]))
+    }
 }
 
 /// The AVX2+FMA lanes. Kernels are instantiated on them only inside
@@ -549,6 +622,24 @@ impl Fused4 for std::arch::x86_64::__m256d {
         unsafe { std::arch::x86_64::_mm256_storeu_pd(v.as_mut_ptr(), self) };
         v
     }
+    #[inline(always)]
+    fn transpose(rows: [&[f64; 4]; 4]) -> [Self; 4] {
+        use std::arch::x86_64::*;
+        // SAFETY: AVX2 is present (see the `Fused` impl); each row holds
+        // four f64s. Shuffles move bits and round nothing.
+        unsafe {
+            let [r0, r1, r2, r3] = rows.map(|row| _mm256_loadu_pd(row.as_ptr()));
+            // (r0[0], r1[0], r0[2], r1[2]), (r0[1], r1[1], r0[3], r1[3]), …
+            let (lo01, hi01) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
+            let (lo23, hi23) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
+            [
+                _mm256_permute2f128_pd::<0x20>(lo01, lo23),
+                _mm256_permute2f128_pd::<0x20>(hi01, hi23),
+                _mm256_permute2f128_pd::<0x31>(lo01, lo23),
+                _mm256_permute2f128_pd::<0x31>(hi01, hi23),
+            ]
+        }
+    }
 }
 
 /// glibc's main path up to its last step: `(tmp, scale)` with
@@ -640,12 +731,11 @@ fn column<V: Fused4>(rows: &[&[f64]; 4], k: usize) -> V {
     V::from_array(rows.map(|row| row[k]))
 }
 
-/// Per lane, the row's max, folded from −∞ as the scalar path folds it.
+/// Per lane, the max of `column(0..classes)`, folded from −∞ as the
+/// scalar path folds it.
 #[inline(always)]
-fn row_max<V: Fused4>(rows: &[&[f64]; 4], classes: usize) -> V {
-    (0..classes).fold(V::splat(f64::NEG_INFINITY), |m, k| {
-        m.max_acc(column(rows, k))
-    })
+fn row_max<V: Fused4>(classes: usize, column: impl Fn(usize) -> V) -> V {
+    (0..classes).fold(V::splat(f64::NEG_INFINITY), |m, k| m.max_acc(column(k)))
 }
 
 /// See [`FusedLanes::cross_entropy_rows`].
@@ -663,7 +753,7 @@ fn cross_entropy_rows_in<V: Fused4>(
     );
     for (p, ys) in labels.chunks(4).enumerate() {
         let rows = pack(logits, classes, 4 * p, ys.len());
-        let lse = log_sum_exp_pack::<V>(&rows, classes);
+        let lse = log_sum_exp_lanes(classes, |k| column::<V>(&rows, k));
         for (j, &y) in ys.iter().enumerate() {
             total += lse[j] - rows[j][y];
         }
@@ -672,13 +762,12 @@ fn cross_entropy_rows_in<V: Fused4>(
 }
 
 /// Per lane, [`vector::log_sum_exp`](crate::vector::log_sum_exp) of the
-/// lane's row, its `is_infinite` early return included.
+/// lane's row `column(0..classes)`, its `is_infinite` early return
+/// included.
 #[inline(always)]
-fn log_sum_exp_pack<V: Fused4>(rows: &[&[f64]; 4], classes: usize) -> [f64; 4] {
-    let m = row_max::<V>(rows, classes);
-    let sum = (0..classes).fold(V::splat(-0.0), |s, k| {
-        s.add(exp_lanes(column::<V>(rows, k).sub(m)))
-    });
+fn log_sum_exp_lanes<V: Fused4>(classes: usize, column: impl Fn(usize) -> V) -> [f64; 4] {
+    let m = row_max(classes, &column);
+    let sum = (0..classes).fold(V::splat(-0.0), |s, k| s.add(exp_lanes(column(k).sub(m))));
     let (m, sum) = (m.to_array(), sum.to_array());
     std::array::from_fn(|j| {
         if m[j].is_infinite() {
@@ -701,7 +790,7 @@ fn softmax_rows_in<V: Fused4>(logits: &[f64], classes: usize, out: &mut [f64]) {
     for (p, out) in out.chunks_mut(4 * classes).enumerate() {
         let n = out.len() / classes;
         let rows = pack(logits, classes, 4 * p, n);
-        let m = row_max::<V>(&rows, classes);
+        let m = row_max(classes, |k| column::<V>(&rows, k));
         let mut sum = V::splat(0.0);
         for k in 0..classes {
             let e = exp_lanes(column::<V>(&rows, k).sub(m));
@@ -717,6 +806,84 @@ fn softmax_rows_in<V: Fused4>(logits: &[f64], classes: usize, out: &mut [f64]) {
             }
         }
     }
+}
+
+/// The portable instantiation of [`linear_cross_entropy_in`].
+fn linear_cross_entropy_portable<const C: usize>(
+    x: &[f64],
+    w: &[f64],
+    bias: &[f64],
+    labels: &[usize],
+    total: f64,
+) -> f64 {
+    linear_cross_entropy_in::<[f64; 4], C>(x, w, bias, labels, total)
+}
+
+/// The AVX2+FMA instantiation of [`linear_cross_entropy_in`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn linear_cross_entropy_avx2_fma<const C: usize>(
+    x: &[f64],
+    w: &[f64],
+    bias: &[f64],
+    labels: &[usize],
+    total: f64,
+) -> f64 {
+    linear_cross_entropy_in::<std::arch::x86_64::__m256d, C>(x, w, bias, labels, total)
+}
+
+/// See [`FusedLanes::linear_cross_entropy`].
+#[inline(always)]
+fn linear_cross_entropy_in<V: Fused4, const C: usize>(
+    x: &[f64],
+    w: &[f64],
+    bias: &[f64],
+    labels: &[usize],
+    mut total: f64,
+) -> f64 {
+    let bias: &[f64; C] = bias.try_into().expect("one bias per class");
+    let k = w.len() / C;
+    assert_eq!(w.len(), C * k, "w is classes × k");
+    assert_eq!(x.len(), labels.len() * k, "x is rows × k");
+    let w: [&[f64]; C] = std::array::from_fn(|c| &w[c * k..(c + 1) * k]);
+    for (p, ys) in labels.chunks(4).enumerate() {
+        let rows = pack(x, k, 4 * p, ys.len());
+        let dots = dot_lanes::<V, C>(&rows, &w);
+        let logits: [V; C] = std::array::from_fn(|c| dots[c].add(V::splat(bias[c])));
+        let lse = log_sum_exp_lanes(C, |c| logits[c]);
+        for (j, &y) in ys.iter().enumerate() {
+            total += lse[j] - logits[y].to_array()[j];
+        }
+    }
+    total
+}
+
+/// Per class `c` and lane `j`, the dot of row `j` with `w[c]`: from
+/// `+0.0`, `+ x · w` with `k` ascending, each product rounded on its own.
+#[inline(always)]
+fn dot_lanes<V: Fused4, const C: usize>(rows: &[&[f64]; 4], w: &[&[f64]; C]) -> [V; C] {
+    let mut acc = [V::splat(0.0); C];
+    let k = rows[0].len();
+    let whole = k - k % 4;
+    for kk in (0..whole).step_by(4) {
+        let xs = V::transpose(rows.map(|row| row[kk..kk + 4].try_into().expect("4 wide")));
+        for (i, x) in xs.into_iter().enumerate() {
+            for (a, wc) in acc.iter_mut().zip(w) {
+                *a = a.add(x.mul(V::splat(wc[kk + i])));
+            }
+        }
+    }
+    for kk in whole..k {
+        let x = V::from_array(rows.map(|row| row[kk]));
+        for (a, wc) in acc.iter_mut().zip(w) {
+            *a = a.add(x.mul(V::splat(wc[kk])));
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -758,16 +925,16 @@ mod tests {
         out
     }
 
-    /// [`log_sum_exp_pack`] of `lanes` on four rows.
+    /// [`log_sum_exp_lanes`] of `lanes` on four rows.
     fn log_sum_exp_pack_of(lanes: FusedLanes, rows: [&[f64]; 4]) -> [f64; 4] {
         let classes = rows[0].len();
         match lanes.0 {
-            FusedIsa::Portable => log_sum_exp_pack::<[f64; 4]>(&rows, classes),
+            FusedIsa::Portable => log_sum_exp_lanes(classes, |k| column::<[f64; 4]>(&rows, k)),
             #[cfg(target_arch = "x86_64")]
             FusedIsa::Avx2Fma => {
                 #[target_feature(enable = "avx2,fma")]
                 unsafe fn avx2_fma(rows: &[&[f64]; 4], classes: usize) -> [f64; 4] {
-                    log_sum_exp_pack::<std::arch::x86_64::__m256d>(rows, classes)
+                    log_sum_exp_lanes(classes, |k| column::<std::arch::x86_64::__m256d>(rows, k))
                 }
                 // SAFETY: `lanes` came from `FusedLanes::avx2_fma`.
                 unsafe { avx2_fma(&rows, classes) }
@@ -1185,5 +1352,115 @@ mod tests {
             assert_eq!(got[2], f64::NEG_INFINITY, "{lanes:?}: all NaN");
             assert_eq!(got[3].to_bits(), vector::log_sum_exp(&zeros).to_bits());
         }
+    }
+
+    /// Equal bits, except that any NaN equals any NaN: Rust leaves the
+    /// sign and payload of a NaN result unspecified.
+    fn same_bits(x: f64, y: f64) -> bool {
+        x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan())
+    }
+
+    /// The three steps [`FusedLanes::linear_cross_entropy`] replaces.
+    fn three_steps(x: &[f64], w: &[f64], bias: &[f64], labels: &[usize], total: f64) -> f64 {
+        let (rows, classes) = (labels.len(), bias.len());
+        let k = w.len() / classes;
+        let mut logits = vec![f64::NAN; rows * classes];
+        crate::gemm::gemm_nt_into(
+            x,
+            w,
+            &mut logits,
+            rows,
+            k,
+            classes,
+            &mut crate::gemm::Scratch::new(),
+        );
+        crate::gemm::add_bias_rows(&mut logits, classes, bias);
+        vector::cross_entropy_rows(&logits, classes, labels, total)
+    }
+
+    /// `len` uniform values in `[-scale, scale)`; where `special` is
+    /// non-empty, about one in seven is replaced by one of its values.
+    fn operand(len: usize, scale: f64, special: &[f64], s: &mut Stream) -> Vec<f64> {
+        (0..len)
+            .map(|_| {
+                let v = s.uniform(-scale, scale);
+                if !special.is_empty() && s.next().is_multiple_of(7) {
+                    special[(s.next() % special.len() as u64) as usize]
+                } else {
+                    v
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn linear_cross_entropy_equals_the_three_steps_bitwise() {
+        let mut s = Stream(23);
+        let nonfinite = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        for classes in 1..=vector::LINEAR_MAX_CLASSES {
+            for k in [1, 2, 3, 4, 5, 24, 60, 61] {
+                for rows in [0, 1, 3, 4, 5, 160, 257] {
+                    let labels: Vec<usize> = (0..rows).map(|r| (r * 5 + 1) % classes).collect();
+                    // Plain operands; signed zeros with biases whose
+                    // logits reach |z| ≥ 512 (glibc's `exp` off its main
+                    // path, subnormal and zero results), all finite; then
+                    // NaN and ±∞ among the operands.
+                    let big = [-1000.0, -600.0, 0.0, -0.0, 520.0, 900.0];
+                    let cases = [
+                        (
+                            operand(rows * k, 2.0, &[], &mut s),
+                            operand(classes * k, 1.0, &[], &mut s),
+                            operand(classes, 1.0, &[], &mut s),
+                        ),
+                        (
+                            operand(rows * k, 2.0, &[0.0, -0.0], &mut s),
+                            operand(classes * k, 1.0, &[0.0, -0.0], &mut s),
+                            operand(classes, 1.0, &big, &mut s),
+                        ),
+                        (
+                            operand(rows * k, 2.0, &nonfinite, &mut s),
+                            operand(classes * k, 1.0, &nonfinite, &mut s),
+                            operand(classes, 1.0, &[f64::NAN, f64::INFINITY, -0.0], &mut s),
+                        ),
+                    ];
+                    for (case, (x, w, bias)) in cases.iter().enumerate() {
+                        let what = format!("case {case}, {rows} × {k} × {classes}");
+                        let want = three_steps(x, w, bias, &labels, 1.5);
+                        assert!(case == 2 || want.is_finite(), "{what} stays finite");
+                        // Row by row too, so a NaN row hides no other.
+                        let row = |r: usize| &x[r * k..(r + 1) * k];
+                        let want_rows: Vec<f64> = (0..rows.min(9))
+                            .map(|r| three_steps(row(r), w, bias, &labels[r..=r], 0.0))
+                            .collect();
+                        for lanes in instantiations() {
+                            let got = lanes.linear_cross_entropy(x, w, bias, &labels, 1.5);
+                            assert!(
+                                same_bits(got, want),
+                                "{lanes:?}, {what}: {got:e} vs {want:e}"
+                            );
+                            for (r, &want) in want_rows.iter().enumerate() {
+                                let got = lanes.linear_cross_entropy(
+                                    row(r),
+                                    w,
+                                    bias,
+                                    &labels[r..=r],
+                                    0.0,
+                                );
+                                assert!(
+                                    same_bits(got, want),
+                                    "{lanes:?}, {what}, row {r}: {got:e} vs {want:e}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=12 classes")]
+    fn linear_cross_entropy_rejects_thirteen_classes() {
+        FusedLanes::portable().linear_cross_entropy(&[1.0], &[0.5; 13], &[0.0; 13], &[0], 0.0);
     }
 }

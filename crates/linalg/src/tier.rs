@@ -24,13 +24,34 @@
 //! ported bit for bit (the `lanes::fused` module). Its
 //! fused multiply-adds round once on every host, so its bits do not
 //! depend on the CPU or the libm. On glibc x86-64 hosts with FMA, where
-//! every pinned checksum was made, they also equal libm's `exp`.
+//! every pinned checksum was made, they also equal libm's `exp`. On a
+//! CPU without FMA each fused multiply-add is a libm `fma` call instead
+//! of one instruction: the bits stay, but the epilogue runs about 3×
+//! slower than a per-row loop over libm's `exp` (57–62 µs against 18 µs
+//! for a 160 × 10 epilogue, measured on an FMA host with the portable
+//! instantiation forced).
+//!
+//! # The `BitExact` logistic loss is one kernel
+//!
+//! A `BitExact` logistic model with at most
+//! [`LINEAR_MAX_CLASSES`](crate::vector::LINEAR_MAX_CLASSES) classes
+//! computes its loss with
+//! [`vector::linear_cross_entropy`](crate::vector::linear_cross_entropy):
+//! the logits `x · Wᵀ + bias` and the epilogue in one pass, four rows
+//! per pack, the logits kept in registers. Each logit is still one
+//! accumulator from `+0.0` that adds separately rounded products in
+//! ascending `k`, then the bias; each row then takes the epilogue's
+//! operations in its order. So the loss has the bits of
+//! `gemm::gemm_nt_into`, `gemm::add_bias_rows` and
+//! `vector::cross_entropy_rows` run one after another. The `Fast` tier,
+//! the gradients, logistic heads wider than 12 classes and the MLP and
+//! CNN keep those separate steps.
 //!
 //! The other transcendental calls still go to the host's libm, so a
 //! host whose libm rounds differently can still move bits through them:
 //!
 //! * `ln` in the loss epilogue (`vector::log_sum_exp`,
-//!   `vector::cross_entropy_rows`);
+//!   `vector::cross_entropy_rows`, `vector::linear_cross_entropy`);
 //! * `tanh` in `fedval_models`' MLP activation;
 //! * `ln`, `sin` and `cos` in `fedval_data`'s Gaussian sampler
 //!   (`randn.rs`), `ln` and `powf` in its Dirichlet partitioner
@@ -67,7 +88,8 @@ use std::sync::OnceLock;
 ///
 /// Everything else — `add_bias_rows`, `col_sums_acc`, `vector::dot` /
 /// `axpy`, softmax/log-sum-exp and their row-per-lane forms
-/// (`vector::softmax_rows`, `vector::cross_entropy_rows`),
+/// (`vector::softmax_rows`, `vector::cross_entropy_rows`,
+/// `vector::linear_cross_entropy`),
 /// Cholesky/QR/SVD, the ALS matrix completion (its ridge Grams stay
 /// bit-exact on purpose), and all per-sample reference paths — is
 /// identical in both tiers. The epilogue's `exp` is a fixed algorithm

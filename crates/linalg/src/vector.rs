@@ -55,56 +55,107 @@ pub fn dist2(a: &[f64], b: &[f64]) -> f64 {
 ///
 /// This is exactly the FedAvg aggregation `w = (1/|S|) Σ_{k∈S} w_k`.
 /// Returns `None` for an empty set (an empty coalition has no model).
+/// [`mean_into`] into a fresh vector, so the same bits.
 pub fn mean_of<'a, I>(vectors: I) -> Option<Vec<f64>>
 where
     I: IntoIterator<Item = &'a [f64]>,
+    I::IntoIter: Clone,
 {
-    let mut it = vectors.into_iter();
-    let first = it.next()?;
-    let mut acc = first.to_vec();
-    let mut count = 1usize;
-    for v in it {
-        debug_assert_eq!(v.len(), acc.len());
-        for (a, &x) in acc.iter_mut().zip(v) {
-            *a += x;
-        }
-        count += 1;
-    }
-    let inv = 1.0 / count as f64;
-    for a in &mut acc {
-        *a *= inv;
-    }
-    Some(acc)
+    let vectors = vectors.into_iter();
+    let mut out = vec![0.0; vectors.clone().next()?.len()];
+    mean_into(vectors, &mut out);
+    Some(out)
 }
 
-/// [`mean_of`] into a caller-provided buffer: `out` is overwritten with
-/// the element-wise mean and `true` is returned, or left untouched with
-/// `false` for an empty set. Bit-identical to [`mean_of`] (same
-/// accumulate-then-scale order); the allocation-free form the utility
-/// oracle uses for its per-cell FedAvg aggregates.
-pub fn mean_into<'a, I>(vectors: I, out: &mut Vec<f64>) -> bool
+/// The element-wise mean of `vectors` into `out`: returns `true`, or
+/// `false` with `out` untouched for an empty set. This is the utility
+/// oracle's per-cell FedAvg aggregate, so it allocates nothing.
+///
+/// Each element starts from the first vector's, adds the others' in
+/// order, and is multiplied by `1 / count`. The elements are summed 32
+/// at a time, each block held in registers while every member is added
+/// (hence the iterator is walked once per block, and must be `Clone`);
+/// that reorders memory traffic, not the per-element operations.
+///
+/// # Panics
+///
+/// If a vector's length differs from `out`'s.
+pub fn mean_into<'a, I>(vectors: I, out: &mut [f64]) -> bool
 where
     I: IntoIterator<Item = &'a [f64]>,
+    I::IntoIter: Clone,
 {
-    let mut it = vectors.into_iter();
-    let Some(first) = it.next() else {
-        return false;
-    };
-    out.clear();
-    out.extend_from_slice(first);
-    let mut count = 1usize;
-    for v in it {
-        debug_assert_eq!(v.len(), out.len());
-        for (a, &x) in out.iter_mut().zip(v) {
-            *a += x;
-        }
+    let vectors = vectors.into_iter();
+    let mut count = 0usize;
+    for v in vectors.clone() {
+        assert_eq!(v.len(), out.len(), "mean_into: vector length mismatch");
         count += 1;
     }
-    let inv = 1.0 / count as f64;
-    for a in out.iter_mut() {
-        *a *= inv;
+    if count == 0 {
+        return false;
     }
+    let inv = 1.0 / count as f64;
+    #[cfg(target_arch = "x86_64")]
+    if crate::cpu::features().avx2 {
+        // SAFETY: the feature was detected at runtime (cached probe).
+        unsafe { mean_blocks_avx2(vectors, inv, out) };
+        return true;
+    }
+    mean_blocks(vectors, inv, out);
     true
+}
+
+/// Elements [`mean_into`] sums at once: eight AVX2 registers.
+const MEAN_BLOCK: usize = 32;
+
+/// AVX2-compiled instantiation of [`mean_blocks`].
+///
+/// # Safety
+///
+/// The CPU must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn mean_blocks_avx2<'a, I>(vectors: I, inv: f64, out: &mut [f64])
+where
+    I: Iterator<Item = &'a [f64]> + Clone,
+{
+    mean_blocks(vectors, inv, out);
+}
+
+/// See [`mean_into`]: `vectors` is non-empty and each is `out.len()`
+/// long.
+#[inline(always)]
+fn mean_blocks<'a, I>(vectors: I, inv: f64, out: &mut [f64])
+where
+    I: Iterator<Item = &'a [f64]> + Clone,
+{
+    for (b, out) in out.chunks_mut(MEAN_BLOCK).enumerate() {
+        let span = b * MEAN_BLOCK..b * MEAN_BLOCK + out.len();
+        let mut members = vectors.clone().map(|v| &v[span.clone()]);
+        let first = members.next().expect("a non-empty set");
+        if let Ok(out) = <&mut [f64; MEAN_BLOCK]>::try_from(&mut *out) {
+            let mut acc: [f64; MEAN_BLOCK] = first.try_into().expect("a whole block");
+            for v in members {
+                let v: &[f64; MEAN_BLOCK] = v.try_into().expect("a whole block");
+                for (a, &x) in acc.iter_mut().zip(v) {
+                    *a += x;
+                }
+            }
+            for (o, a) in out.iter_mut().zip(acc) {
+                *o = a * inv;
+            }
+        } else {
+            out.copy_from_slice(first);
+            for v in members {
+                for (o, &x) in out.iter_mut().zip(v) {
+                    *o += x;
+                }
+            }
+            for o in out.iter_mut() {
+                *o *= inv;
+            }
+        }
+    }
 }
 
 /// Index of the maximum entry (first one wins on ties).
@@ -156,6 +207,33 @@ pub fn log_sum_exp(a: &[f64]) -> f64 {
 /// to that loop over [`log_sum_exp`].
 pub fn cross_entropy_rows(logits: &[f64], classes: usize, labels: &[usize], total: f64) -> f64 {
     FusedLanes::detect().cross_entropy_rows(logits, classes, labels, total)
+}
+
+/// Widest class count [`linear_cross_entropy`] serves: one accumulator
+/// register per class, twelve of the sixteen.
+pub const LINEAR_MAX_CLASSES: usize = 12;
+
+/// `total` plus, row by row in order, the cross-entropy of the logits
+/// `x_r · Wᵀ + bias` against `labels`: a logistic model's summed loss,
+/// with `x` `labels.len()` rows of `k` and `w` `bias.len()` rows of `k`,
+/// row-major. One pass, four rows at a time, the logits never written
+/// out; bit-identical to [`gemm::gemm_nt_into`](crate::gemm::gemm_nt_into),
+/// [`gemm::add_bias_rows`](crate::gemm::add_bias_rows) and
+/// [`cross_entropy_rows`] on the same inputs.
+///
+/// # Panics
+///
+/// Unless `1 ≤ bias.len() ≤` [`LINEAR_MAX_CLASSES`],
+/// `w.len() == classes · k` and `x.len() == labels.len() · k` for one
+/// `k`; or if a label is not below `classes`.
+pub fn linear_cross_entropy(
+    x: &[f64],
+    w: &[f64],
+    bias: &[f64],
+    labels: &[usize],
+    total: f64,
+) -> f64 {
+    FusedLanes::detect().linear_cross_entropy(x, w, bias, labels, total)
 }
 
 /// [`softmax_into`] on every row of the row-major `logits` (rows of
@@ -218,22 +296,82 @@ mod tests {
     }
 
     #[test]
-    fn mean_into_matches_mean_of_bits_and_reuses_buffer() {
-        let a = vec![1.0, 2.0, 3.0];
-        let b = vec![0.3, -0.7, 10.0];
-        let c = vec![5.5, 0.1, -2.0];
-        let expect = mean_of([a.as_slice(), b.as_slice(), c.as_slice()]).unwrap();
-        let mut out = vec![9.0; 7]; // wrong size on purpose
-        assert!(mean_into(
-            [a.as_slice(), b.as_slice(), c.as_slice()],
-            &mut out
-        ));
-        assert_eq!(out.len(), 3);
-        for (x, y) in out.iter().zip(&expect) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
+    fn mean_into_leaves_out_alone_for_an_empty_set_and_checks_lengths() {
+        let mut out = vec![9.0; 3];
         assert!(!mean_into(std::iter::empty::<&[f64]>(), &mut out));
-        assert_eq!(out.len(), 3, "empty set leaves the buffer alone");
+        assert_eq!(out, vec![9.0; 3], "empty set leaves the buffer alone");
+        let short = [1.0, 2.0];
+        let result = std::panic::catch_unwind(move || {
+            let mut out = vec![0.0; 3];
+            mean_into([short.as_slice()], &mut out)
+        });
+        assert!(result.is_err(), "a vector of another length is rejected");
+    }
+
+    /// The unblocked aggregate: per element, the first vector's value
+    /// plus the others' in order, times `1 / count`.
+    fn mean_per_element(vectors: &[Vec<f64>]) -> Vec<f64> {
+        let inv = 1.0 / vectors.len() as f64;
+        (0..vectors[0].len())
+            .map(|e| vectors[1..].iter().fold(vectors[0][e], |a, v| a + v[e]) * inv)
+            .collect()
+    }
+
+    #[test]
+    fn blocked_mean_equals_the_per_element_loop_bitwise() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let edges = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, 5e-324, 1e308];
+        for len in [
+            1,
+            5,
+            MEAN_BLOCK - 1,
+            MEAN_BLOCK + 1,
+            3 * MEAN_BLOCK + 7,
+            610,
+        ] {
+            for members in 1..=40 {
+                let vectors: Vec<Vec<f64>> = (0..members)
+                    .map(|_| {
+                        (0..len)
+                            .map(|_| match next() % 50 {
+                                e @ 0..=5 => edges[e as usize],
+                                _ => (next() >> 11) as f64 / (1u64 << 40) as f64 - 4096.0,
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let want = mean_per_element(&vectors);
+                let slices = vectors.iter().map(Vec::as_slice);
+                let mut outs = vec![("dispatched", vec![f64::NAN; len])];
+                assert!(mean_into(slices.clone(), &mut outs[0].1));
+                let mut portable = vec![f64::NAN; len];
+                mean_blocks(slices.clone(), 1.0 / members as f64, &mut portable);
+                outs.push(("portable", portable));
+                #[cfg(target_arch = "x86_64")]
+                if crate::cpu::features().avx2 {
+                    let mut avx2 = vec![f64::NAN; len];
+                    // SAFETY: AVX2 was detected.
+                    unsafe { mean_blocks_avx2(slices.clone(), 1.0 / members as f64, &mut avx2) };
+                    outs.push(("avx2", avx2));
+                }
+                let of = mean_of(slices).expect("a non-empty set");
+                outs.push(("mean_of", of));
+                for (name, got) in &outs {
+                    for (e, (x, y)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                            "{name}: {members} members of {len}, element {e}: {x:e} vs {y:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -194,27 +194,25 @@ impl Model for LogisticRegression {
         if data.is_empty() {
             return Ok(self.reg_term());
         }
-        let d = self.dim;
+        let (c, d) = (self.num_classes, self.dim);
         let feat = data.features().as_slice();
         let labels = data.labels();
         let tier = ws.tier();
+        // BitExact: the logits, bias and epilogue in one pass that never
+        // writes the logits out, with the three steps' bits.
+        let one_pass = tier == DeterminismTier::BitExact && c <= vector::LINEAR_MAX_CLASSES;
+        let (w, bias) = self.params.split_at(c * d);
         let (bufs, gemm_scratch) = ws.parts(1);
         let mut total = 0.0;
         for (start, end) in chunks(data.len()) {
             cancel.check()?;
-            self.logits_chunk(
-                &feat[start * d..end * d],
-                end - start,
-                &mut bufs[0],
-                gemm_scratch,
-                tier,
-            );
-            total = vector::cross_entropy_rows(
-                bufs[0].as_slice(),
-                self.num_classes,
-                &labels[start..end],
-                total,
-            );
+            let (x, labels) = (&feat[start * d..end * d], &labels[start..end]);
+            total = if one_pass {
+                vector::linear_cross_entropy(x, w, bias, labels, total)
+            } else {
+                self.logits_chunk(x, end - start, &mut bufs[0], gemm_scratch, tier);
+                vector::cross_entropy_rows(bufs[0].as_slice(), c, labels, total)
+            };
         }
         Ok(total / data.len() as f64 + self.reg_term())
     }
@@ -363,30 +361,39 @@ mod tests {
     #[test]
     fn batched_paths_match_per_sample_reference_bitwise() {
         // More examples than one minibatch chunk, with a ragged tail, so
-        // the chunked reductions cross chunk boundaries.
+        // the chunked reductions cross chunk boundaries. Up to 12 classes
+        // the BitExact loss takes the one-pass kernel; 13 takes the
+        // three steps.
         let n = crate::workspace::CHUNK_ROWS * 2 + 37;
-        let f = Matrix::from_fn(n, 3, |r, c| (((r + 2) * (c + 3)) % 11) as f64 / 5.0 - 1.0);
-        let labels: Vec<usize> = (0..n).map(|r| r % 3).collect();
-        let d = Dataset::new(f, labels, 3).unwrap();
-        let m = LogisticRegression::new(3, 3, 0.05, 13);
+        for classes in [
+            3,
+            vector::LINEAR_MAX_CLASSES,
+            vector::LINEAR_MAX_CLASSES + 1,
+        ] {
+            let f = Matrix::from_fn(n, 3, |r, c| (((r + 2) * (c + 3)) % 11) as f64 / 5.0 - 1.0);
+            let labels: Vec<usize> = (0..n).map(|r| r % classes).collect();
+            let d = Dataset::new(f, labels, classes).unwrap();
+            let m = LogisticRegression::new(3, classes, 0.05, 13);
 
-        // Pinned to BitExact: this contract must hold regardless of the
-        // FEDVAL_TIER environment the suite runs under.
-        let mut ws = crate::workspace::Workspace::bit_exact();
-        assert_eq!(
-            m.loss_with(&d, &mut ws, &CancelToken::new())
-                .unwrap()
-                .to_bits(),
-            m.loss_per_sample(&d).to_bits()
-        );
+            // Pinned to BitExact: this contract must hold regardless of
+            // the FEDVAL_TIER environment the suite runs under.
+            let mut ws = crate::workspace::Workspace::bit_exact();
+            assert_eq!(
+                m.loss_with(&d, &mut ws, &CancelToken::new())
+                    .unwrap()
+                    .to_bits(),
+                m.loss_per_sample(&d).to_bits(),
+                "{classes} classes"
+            );
 
-        let mut g_batched = vec![0.0; m.num_params()];
-        let mut g_ref = vec![0.0; m.num_params()];
-        let lb = m.grad_with(&d, &mut g_batched, &mut ws);
-        let lr = m.grad_per_sample(&d, &mut g_ref);
-        assert_eq!(lb.to_bits(), lr.to_bits());
-        for (a, b) in g_batched.iter().zip(&g_ref) {
-            assert_eq!(a.to_bits(), b.to_bits());
+            let mut g_batched = vec![0.0; m.num_params()];
+            let mut g_ref = vec![0.0; m.num_params()];
+            let lb = m.grad_with(&d, &mut g_batched, &mut ws);
+            let lr = m.grad_per_sample(&d, &mut g_ref);
+            assert_eq!(lb.to_bits(), lr.to_bits(), "{classes} classes");
+            for (a, b) in g_batched.iter().zip(&g_ref) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{classes} classes");
+            }
         }
     }
 

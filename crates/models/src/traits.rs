@@ -12,7 +12,9 @@ use fedval_runtime::{CancelToken, Cancelled};
 /// client models by averaging these vectors, and the utility-matrix oracle
 /// evaluates the loss of averaged vectors directly. Implementations must
 /// treat the parameter slice as the *only* state that affects the loss,
-/// the gradient, and `predict`.
+/// the gradient, and `predict`: callers may overwrite it through
+/// [`params_mut`](Model::params_mut) (the oracle writes each cell's
+/// aggregate there) as well as through [`set_params`](Model::set_params).
 ///
 /// An implementation provides one loss entry point
 /// ([`loss_with`](Model::loss_with), cancellable) and one gradient entry

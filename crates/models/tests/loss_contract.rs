@@ -7,7 +7,9 @@
 use fedval_data::Dataset;
 use fedval_linalg::Matrix;
 use fedval_models::workspace::CHUNK_ROWS;
-use fedval_models::{Activation, Cnn, CnnConfig, LogisticRegression, Mlp, Model, Workspace};
+use fedval_models::{
+    Activation, Cnn, CnnConfig, DeterminismTier, LogisticRegression, Mlp, Model, Workspace,
+};
 use fedval_runtime::{CancelToken, Cancelled};
 
 fn dataset(rows: usize, dim: usize, classes: usize) -> Dataset {
@@ -35,23 +37,34 @@ fn loss_with_cancels_on_a_fired_token_and_is_loss_on_a_live_one() {
             dataset(rows, 36, 3),
         ),
     ];
-    for (model, data) in &models {
-        let name = model.cache_descriptor();
-        let mut ws = Workspace::new();
-        let fired = CancelToken::new();
-        fired.cancel();
-        assert_eq!(
-            model.loss_with(data, &mut ws, &fired),
-            Err(Cancelled),
-            "{name}: a fired token must abandon the evaluation"
-        );
-        let live = model
-            .loss_with(data, &mut ws, &CancelToken::new())
-            .unwrap_or_else(|_| panic!("{name}: a live token was reported cancelled"));
-        assert_eq!(
-            live.to_bits(),
-            model.loss(data).to_bits(),
-            "{name}: a live token changed the loss"
-        );
+    // Both tiers: the BitExact logistic loss runs a one-pass kernel per
+    // chunk, the Fast one the logits GEMM and the epilogue.
+    for tier in [DeterminismTier::BitExact, DeterminismTier::Fast] {
+        for (model, data) in &models {
+            let name = format!("{} at {tier:?}", model.cache_descriptor());
+            let mut ws = Workspace::new().with_tier(tier);
+            let fired = CancelToken::new();
+            fired.cancel();
+            assert_eq!(
+                model.loss_with(data, &mut ws, &fired),
+                Err(Cancelled),
+                "{name}: a fired token must abandon the evaluation"
+            );
+            let live = model
+                .loss_with(data, &mut ws, &CancelToken::new())
+                .unwrap_or_else(|_| panic!("{name}: a live token was reported cancelled"));
+            let fresh = model
+                .loss_with(
+                    data,
+                    &mut Workspace::new().with_tier(tier),
+                    &CancelToken::new(),
+                )
+                .expect("a fresh token is never cancelled");
+            assert_eq!(
+                live.to_bits(),
+                fresh.to_bits(),
+                "{name}: a live token changed the loss"
+            );
+        }
     }
 }

@@ -2,26 +2,32 @@
 //!
 //! Runs the Fig.-8-style workload — the Monte-Carlo ComFedSV pipeline,
 //! whose cost is dominated by test-loss evaluations of `U_t(S)` — once
-//! with the utility oracle pinned to a single worker thread and once per
-//! requested thread count, and reports wall time, loss-evaluation counts,
-//! and the speedup. It also *asserts* that the valuations are
-//! bit-identical across thread counts: parallelism must never change the
-//! numbers.
+//! per requested oracle thread count (the oracle's parallelism, which
+//! caps the workers a batch fans out to on the global pool), and
+//! reports wall time, loss-evaluation counts, and the speedup over the
+//! first count. It also *asserts* that the valuations are bit-identical
+//! across thread counts: parallelism must never change the numbers.
+//! At 1 the pool runs each batch inline on the calling thread, which is
+//! the oracle's only serial path.
 //!
 //! Thread counts default to `1,2,4` and the host parallelism; override
-//! with `FEDVAL_THREADS=1,4,8`. On a single-hardware-thread host the
-//! speedup is necessarily ~1× — the point of the benchmark is to show
-//! the ≥2× scaling at 4 threads on real multi-core hardware and to guard
-//! the determinism contract everywhere.
+//! with `--threads 1,4,8`. The global pool's width is the hardware
+//! parallelism, or `FEDVAL_THREADS` when that is one positive integer;
+//! counts above it queue. On a single-hardware-thread host the speedup
+//! is necessarily ~1× — the point of the benchmark is to show the ≥2×
+//! scaling at 4 threads on real multi-core hardware and to guard the
+//! determinism contract everywhere.
 
 use comfedsv::experiments::ExperimentBuilder;
+use fedval_bench::smoke::flag_value;
 use fedval_bench::{profile, write_csv};
 use fedval_fl::FlConfig;
 use fedval_shapley::{ComFedSv, EstimatorKind};
 use std::time::Instant;
 
 fn thread_counts() -> Vec<usize> {
-    if let Ok(spec) = std::env::var("FEDVAL_THREADS") {
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(spec) = flag_value(&args, "--threads") {
         let parsed: Vec<usize> = spec
             .split(',')
             .filter_map(|s| s.trim().parse().ok())
@@ -30,6 +36,9 @@ fn thread_counts() -> Vec<usize> {
         if !parsed.is_empty() {
             return parsed;
         }
+        eprintln!(
+            "oracle_throughput: --threads {spec:?} lists no positive count; using the defaults"
+        );
     }
     let host = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -66,7 +75,11 @@ fn main() {
         seed: 2,
     };
 
-    println!("== oracle throughput: MC ComFedSV pipeline, N={n}, T={rounds}, K={k}, M={m} ==");
+    println!(
+        "== oracle throughput: MC ComFedSV pipeline, N={n}, T={rounds}, K={k}, M={m}, \
+         global pool {} threads ==",
+        fedval_runtime::Pool::global_width()
+    );
     println!(
         "{:>8}  {:>12}  {:>10}  {:>12}",
         "threads", "seconds", "speedup", "loss evals"

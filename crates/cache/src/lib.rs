@@ -314,12 +314,12 @@ impl CellCache {
         loaded
     }
 
-    /// The slot for `key` plus what the lookup found (used by the
-    /// oracle to distinguish hits from fresh reservations).
-    pub fn slot(&self, key: CellKey) -> (CellSlot, SlotState) {
-        let (slot, state, spill) = self.store.slot(key);
+    /// The slot for `key`, reserving an empty one if absent; a
+    /// complete cell's slot already holds its value.
+    pub fn slot(&self, key: CellKey) -> CellSlot {
+        let (slot, _, spill) = self.store.slot(key);
         self.queue_spill(spill);
-        (slot, state)
+        slot
     }
 
     /// Records a freshly computed cell value (making it a dirty,
@@ -542,8 +542,8 @@ mod tests {
     fn memory_only_cache_shares_and_evicts() {
         let cache = CellCache::in_memory(2 * CELL_COST_BYTES);
         for i in 0..5 {
-            let (slot, state) = cache.slot(key(i, 1));
-            assert_eq!(state, SlotState::Reserved);
+            let slot = cache.slot(key(i, 1));
+            assert_eq!(*slot.read(), None, "a fresh reservation is empty");
             *slot.write() = Some(i as f64);
             drop(slot);
             cache.complete(key(i, 1), i as f64);
@@ -556,7 +556,7 @@ mod tests {
 
     /// Completes `key` with `value` in `cache`, as an evaluator would.
     fn complete_cell(cache: &CellCache, key: CellKey, value: f64) {
-        let (slot, _) = cache.slot(key);
+        let slot = cache.slot(key);
         *slot.write() = Some(value);
         drop(slot);
         cache.complete(key, value);
@@ -604,8 +604,8 @@ mod tests {
 
         assert_eq!(cache.flush(), 0);
         // A flush after a job that only read cells has nothing to write.
-        let (slot, state) = cache.slot(key(0, 0b1));
-        assert_eq!((state, *slot.read()), (SlotState::Complete, Some(0.5)));
+        let slot = cache.slot(key(0, 0b1));
+        assert_eq!(*slot.read(), Some(0.5));
         drop(slot);
         assert_eq!(cache.flush(), 0);
         assert_eq!(snapshot(&dir), before, "no file written, touched or added");
@@ -647,7 +647,7 @@ mod tests {
                     subset,
                     ..key(0, 0)
                 };
-                let (slot, _) = cache.slot(k);
+                let slot = cache.slot(k);
                 *slot.write() = Some(v);
                 drop(slot);
                 cache.complete(k, v);
@@ -664,9 +664,7 @@ mod tests {
                 subset,
                 ..key(0, 0)
             };
-            let (slot, state) = cache.slot(k);
-            assert_eq!(state, SlotState::Complete);
-            assert_eq!(*slot.read(), Some(v));
+            assert_eq!(*cache.slot(k).read(), Some(v));
         }
         // Second attach is a no-op.
         assert_eq!(cache.attach(Fingerprint::from_bits(99), 0), 0);
@@ -680,7 +678,7 @@ mod tests {
             let cache = CellCache::with_dir(CELL_COST_BYTES, &dir);
             for i in 0..10 {
                 let k = key(i, 1);
-                let (slot, _) = cache.slot(k);
+                let slot = cache.slot(k);
                 *slot.write() = Some(i as f64);
                 drop(slot);
                 cache.complete(k, i as f64);
@@ -698,7 +696,7 @@ mod tests {
         let dir = tmpdir("dropflush");
         {
             let cache = CellCache::with_dir(DEFAULT_MEM_BUDGET_BYTES, &dir);
-            let (slot, _) = cache.slot(key(0, 1));
+            let slot = cache.slot(key(0, 1));
             *slot.write() = Some(2.5);
             drop(slot);
             cache.complete(key(0, 1), 2.5);
@@ -731,12 +729,12 @@ mod tests {
         assert!(cache.stats().disk_degraded);
         // Jobs still work from memory.
         let k = key(0, 1);
-        let (slot, state) = cache.slot(k);
-        assert_eq!(state, SlotState::Reserved);
+        let slot = cache.slot(k);
+        assert_eq!(*slot.read(), None, "a fresh reservation is empty");
         *slot.write() = Some(1.5);
         drop(slot);
         cache.complete(k, 1.5);
-        assert_eq!(*cache.slot(k).0.read(), Some(1.5));
+        assert_eq!(*cache.slot(k).read(), Some(1.5));
         assert_eq!(cache.flush(), 0);
         assert_eq!(cache.attach(Fingerprint::from_bits(99), 0), 0);
         assert!(matches!(
@@ -760,7 +758,7 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
         for i in 0..(WRITE_ERROR_LIMIT + 2) {
             let k = key(i as u32, 1);
-            let (slot, _) = cache.slot(k);
+            let slot = cache.slot(k);
             *slot.write() = Some(i as f64);
             drop(slot);
             cache.complete(k, i as f64);
@@ -772,7 +770,7 @@ mod tests {
         assert_eq!(stats.spilled_cells, 0);
         assert!(!cache.has_disk());
         // Values remain served from memory, bit-exact.
-        assert_eq!(*cache.slot(key(0, 1)).0.read(), Some(0.0));
+        assert_eq!(*cache.slot(key(0, 1)).read(), Some(0.0));
     }
 
     #[test]

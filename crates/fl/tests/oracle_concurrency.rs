@@ -190,7 +190,9 @@ fn concurrent_column_prefetches_share_the_table() {
             let oracle = &oracle;
             scope.spawn(move || {
                 for &s in chunk {
-                    let a = oracle.total_utility_parallel(s);
+                    let mut column = EvalPlan::new();
+                    column.add_column(oracle.num_rounds(), s);
+                    let a: f64 = oracle.evaluate_plan(&column).iter().sum();
                     let b = oracle.total_utility(s);
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
@@ -361,7 +363,10 @@ fn isolated_oracle_starts_with_an_empty_cache() {
         // Each isolated clone re-pays the full cost, agrees bit-for-bit,
         // and never reads or writes the parent's shared cache.
         let resident = shared.stats().resident_cells;
-        for iso in [oracle.isolated(), oracle.isolated_with_tier(oracle.tier())] {
+        for iso in [
+            oracle.isolated(),
+            oracle.isolated().with_tier(oracle.tier()),
+        ] {
             assert_eq!(iso.loss_evaluations(), 0, "counter starts at zero");
             iso.evaluate_plan(&plan);
             assert_eq!(iso.loss_evaluations(), cost, "full cost paid again");

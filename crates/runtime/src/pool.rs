@@ -325,9 +325,8 @@ impl Pool {
     /// The process-wide pool, created on first use.
     ///
     /// Its size is the `FEDVAL_THREADS` environment variable when that
-    /// parses as a single positive integer (comma-separated lists — the
-    /// `oracle_throughput` benchmark's sweep syntax — are ignored here),
-    /// otherwise the hardware parallelism. Its policy is fair share.
+    /// parses as a single positive integer, otherwise the hardware
+    /// parallelism. Its policy is fair share.
     pub fn global() -> &'static Pool {
         GLOBAL.get_or_init(|| Pool::new(global_threads()))
     }

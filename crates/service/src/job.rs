@@ -1149,10 +1149,10 @@ fn run_job_inner(inner: &ManagerInner, job: &Arc<Job>, scenario: Scenario) {
     // least 2, so a 1-core host too): at parallelism 1 the oracle takes
     // a fully-inline path that the fair-share scheduler never sees.
     oracle.set_parallelism(inner.pool.threads().max(2));
-    // Apply the spec's tier to the oracle itself: the session follows
-    // the oracle's tier, so it values on this oracle rather than on a
-    // retiered clone. Tier before attaching: the cache keys cells by
-    // tier, and attaching loads that tier's disk segments.
+    // The spec's tier is pinned on the oracle, the one place a tier is
+    // set: the session values on whatever oracle it is given. Tier
+    // before attaching: the cache keys cells by tier, and attaching
+    // loads that tier's disk segments.
     if let Some(tier) = spec.tier {
         oracle.set_tier(tier);
     }

@@ -77,8 +77,9 @@ pub enum ValuationError {
         valued: usize,
     },
     /// The run was cancelled through its
-    /// [`CancelToken`](fedval_runtime::CancelToken) (e.g. via
-    /// [`ValuationSession::cancel_handle`](crate::session::ValuationSession::cancel_handle))
+    /// [`CancelToken`](fedval_runtime::CancelToken) (e.g. the one
+    /// handed to
+    /// [`ValuationSessionBuilder::cancel_token`](crate::session::ValuationSessionBuilder::cancel_token))
     /// before it finished. No partial values are returned.
     Cancelled,
     /// The run exceeded its wall-clock deadline and was stopped at the

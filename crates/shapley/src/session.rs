@@ -46,7 +46,6 @@ use crate::pipeline::{ComFedSv, CompletionSolver, EstimatorKind, ExactShapley};
 use crate::tmc::Tmc;
 use crate::valuator::{ProgressEvent, RunContext, ValuationReport, Valuator};
 use fedval_fl::UtilityOracle;
-use fedval_linalg::DeterminismTier;
 use fedval_runtime::CancelToken;
 
 /// The method keys [`ValuationSession::valuator`] accepts, in the order
@@ -111,7 +110,6 @@ pub struct ValuationSessionBuilder {
     progress: Option<ProgressSink>,
     ground_truth: Option<Vec<f64>>,
     isolated_runs: bool,
-    tier: Option<DeterminismTier>,
     cancel: Option<CancelToken>,
 }
 
@@ -195,24 +193,14 @@ impl ValuationSessionBuilder {
         self
     }
 
-    /// Numeric tier every run of this session evaluates at. When set
-    /// and different from the oracle's own tier, `run`/`run_all` value
-    /// against a [`UtilityOracle::retiered`] clone, which shares the
-    /// oracle's cache under cell keys of the session's tier: cells from
-    /// another tier are never mixed into the run, and consecutive runs
-    /// share their cells as they do at the oracle's own tier. Unset
-    /// (the default), runs evaluate at whatever tier the oracle carries.
-    pub fn tier(mut self, tier: DeterminismTier) -> Self {
-        self.tier = Some(tier);
-        self
-    }
-
-    /// Uses `token` as the session's cancellation token instead of a
-    /// fresh one, so a controller that creates the token *before* the
-    /// session exists (the `fedval_service` job manager hands the token
-    /// to its HTTP `DELETE` handler at submission time) observes and
-    /// cancels the same flag as
-    /// [`cancel_handle`](ValuationSession::cancel_handle).
+    /// The token every run of the session observes (a fresh one by
+    /// default). Whoever holds a clone — the `fedval_service` job
+    /// manager hands one to its HTTP `DELETE` handler at submission
+    /// time; a progress callback, another thread or a signal handler
+    /// can too — cancels the in-flight method at its next
+    /// permutation/sweep/batch boundary, which then returns
+    /// [`ValuationError::Cancelled`]. The token stays cancelled, so
+    /// later runs of the session report `Cancelled` too.
     pub fn cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
         self
@@ -229,7 +217,6 @@ impl ValuationSessionBuilder {
             progress: self.progress,
             ground_truth: self.ground_truth,
             isolated_runs: self.isolated_runs,
-            tier: self.tier,
             cancel: self.cancel.unwrap_or_default(),
         }
     }
@@ -244,7 +231,6 @@ pub struct ValuationSession {
     progress: Option<ProgressSink>,
     ground_truth: Option<Vec<f64>>,
     isolated_runs: bool,
-    tier: Option<DeterminismTier>,
     cancel: CancelToken,
 }
 
@@ -257,40 +243,8 @@ impl ValuationSession {
             progress: None,
             ground_truth: None,
             isolated_runs: false,
-            tier: None,
             cancel: None,
         }
-    }
-
-    /// A handle that cancels this session's runs: every run shares the
-    /// session's [`CancelToken`], so calling
-    /// [`cancel`](CancelToken::cancel) on the returned clone — from a
-    /// progress callback, another thread, a signal handler — makes the
-    /// in-flight method stop at its next permutation/sweep/batch
-    /// boundary and return [`ValuationError::Cancelled`]. The token
-    /// stays cancelled (subsequent runs also report `Cancelled`) until
-    /// [`reset_cancelled`](ValuationSession::reset_cancelled).
-    pub fn cancel_handle(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
-    /// Replaces a cancelled session's token so new runs can proceed.
-    /// Handles returned by earlier
-    /// [`cancel_handle`](ValuationSession::cancel_handle) calls keep
-    /// pointing at the old token.
-    pub fn reset_cancelled(&mut self) {
-        self.cancel = CancelToken::new();
-    }
-
-    /// See [`ValuationSessionBuilder::tier`]. `None` clears the
-    /// override (runs follow the oracle's tier again).
-    pub fn set_tier(&mut self, tier: Option<DeterminismTier>) {
-        self.tier = tier;
-    }
-
-    /// The session's numeric-tier override, if any.
-    pub fn tier(&self) -> Option<DeterminismTier> {
-        self.tier
     }
 
     /// The method keys, [`METHOD_NAMES`] as owned strings.
@@ -347,12 +301,10 @@ impl ValuationSession {
     }
 
     /// Runs an explicit valuator with this session's seed, progress
-    /// callback, cancellation token and ground-truth comparison. With
-    /// [`isolated_runs`](ValuationSessionBuilder::isolated_runs) set it
-    /// values on a fresh-cache clone at the session's tier; otherwise,
-    /// when the session's [`tier`](ValuationSessionBuilder::tier)
-    /// differs from the oracle's, on a clone retiered to it that shares
-    /// the oracle's cache.
+    /// callback, cancellation token and ground-truth comparison, on
+    /// `oracle` at its tier — or, with
+    /// [`isolated_runs`](ValuationSessionBuilder::isolated_runs) set, on
+    /// its fresh-cache clone [`UtilityOracle::isolated`].
     pub fn run_valuator(
         &mut self,
         valuator: &dyn Valuator,
@@ -362,16 +314,8 @@ impl ValuationSession {
         if let Some(seed) = self.seed {
             ctx = ctx.with_seed(seed);
         }
-        // A tier override that disagrees with the oracle's tier values
-        // on a retiered clone. It keeps the oracle's cache: cell keys
-        // carry the tier, so the run never mixes tiers.
-        let tier = self.tier.unwrap_or(oracle.tier());
-        let clone = if self.isolated_runs {
-            Some(oracle.isolated_with_tier(tier))
-        } else {
-            (tier != oracle.tier()).then(|| oracle.retiered(tier))
-        };
-        let oracle = clone.as_ref().unwrap_or(oracle);
+        let isolated = self.isolated_runs.then(|| oracle.isolated());
+        let oracle = isolated.as_ref().unwrap_or(oracle);
         let mut report = match self.progress.as_mut() {
             Some(cb) => valuator.value(oracle, &mut ctx.with_progress(&mut **cb))?,
             None => valuator.value(oracle, &mut ctx)?,
@@ -599,7 +543,7 @@ mod tests {
     }
 
     #[test]
-    fn cancel_handle_stops_a_tmc_run_mid_walk() {
+    fn cancel_token_stops_a_tmc_run_mid_walk() {
         use crate::valuator::Progress;
         use std::cell::RefCell;
         use std::rc::Rc;
@@ -607,26 +551,21 @@ mod tests {
         let oracle = fedval_fl::UtilityOracle::new(&trace, &proto, &test);
         let events: Rc<RefCell<Vec<usize>>> = Rc::new(RefCell::new(Vec::new()));
         let sink = Rc::clone(&events);
-        // The callback wants the session's cancel handle, which only
-        // exists after build: hand it over through a shared cell.
-        let handle_cell: Rc<RefCell<Option<fedval_runtime::CancelToken>>> =
-            Rc::new(RefCell::new(None));
-        let handle_for_callback = Rc::clone(&handle_cell);
+        let token = CancelToken::new();
+        let handle = token.clone();
         let mut session = ValuationSession::builder()
             .permutations(300)
             .seed(5)
+            .cancel_token(token)
             .progress(move |e| {
                 if let Progress::Permutation { index, .. } = e.progress {
                     sink.borrow_mut().push(index);
                     if index == 2 {
-                        if let Some(handle) = handle_for_callback.borrow().as_ref() {
-                            handle.cancel();
-                        }
+                        handle.cancel();
                     }
                 }
             })
             .build();
-        *handle_cell.borrow_mut() = Some(session.cancel_handle());
         let err = session.run("tmc", &oracle).unwrap_err();
         assert_eq!(err, ValuationError::Cancelled);
         assert_eq!(
@@ -634,15 +573,11 @@ mod tests {
             vec![1, 2],
             "permutation-level events flowed and the walk stopped within one"
         );
-        // The token stays set: the next run reports Cancelled too…
+        // The token stays set: the next run reports Cancelled too.
         assert_eq!(
             session.run("tmc", &oracle).unwrap_err(),
             ValuationError::Cancelled
         );
-        // …until the session is reset.
-        session.reset_cancelled();
-        events.borrow_mut().clear();
-        assert!(session.run("fedsv", &oracle).is_ok());
     }
 
     #[test]
@@ -656,16 +591,13 @@ mod tests {
             .rank(3)
             .cancel_token(token.clone())
             .build();
+        assert!(session.run("fedsv", &oracle).is_ok());
         // …and cancelling the external token stops the session's runs.
         token.cancel();
         assert_eq!(
             session.run("fedsv", &oracle).unwrap_err(),
             ValuationError::Cancelled
         );
-        // The session's own handle is the same flag.
-        assert!(session.cancel_handle().is_cancelled());
-        session.reset_cancelled();
-        assert!(session.run("fedsv", &oracle).is_ok());
     }
 
     #[test]
@@ -743,48 +675,6 @@ mod tests {
                 "{name_a}: pool reuse must not perturb values"
             );
         }
-    }
-
-    #[test]
-    fn session_tier_override_retiers_without_touching_the_shared_cache() {
-        let (trace, proto, test) = world(11);
-        let oracle = fedval_fl::UtilityOracle::new(&trace, &proto, &test)
-            .with_tier(DeterminismTier::BitExact);
-
-        let mut exact_session = ValuationSession::builder().rank(3).seed(2).build();
-        let exact = exact_session.run("fedsv", &oracle).unwrap();
-        let cached = oracle.loss_evaluations();
-
-        // A Fast-tier session never writes into the BitExact oracle's
-        // result table — it values against a fresh retiered clone.
-        let mut fast_session = ValuationSession::builder()
-            .rank(3)
-            .seed(2)
-            .tier(DeterminismTier::Fast)
-            .build();
-        assert_eq!(fast_session.tier(), Some(DeterminismTier::Fast));
-        let fast = fast_session.run("fedsv", &oracle).unwrap();
-        assert_eq!(
-            oracle.loss_evaluations(),
-            cached,
-            "retiered run left the caller's cache untouched"
-        );
-        // Same estimator, same seed: only kernel rounding differs.
-        for (a, b) in exact.values.iter().zip(&fast.values) {
-            assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "{a} vs {b}");
-        }
-        // Matching tiers without isolated_runs reuse the shared cache.
-        let mut matching = ValuationSession::builder()
-            .rank(3)
-            .seed(2)
-            .tier(DeterminismTier::BitExact)
-            .build();
-        let again = matching.run("fedsv", &oracle).unwrap();
-        assert_eq!(again.values, exact.values);
-        assert_eq!(
-            again.diagnostics.cells_evaluated, 0,
-            "matching tier drafts behind the existing cache"
-        );
     }
 
     #[test]

@@ -111,9 +111,10 @@ impl<'a> RunContext<'a> {
         self
     }
 
-    /// Shares `token` as this run's cancellation flag (what
-    /// [`ValuationSession::cancel_handle`](crate::session::ValuationSession::cancel_handle)
-    /// hands out).
+    /// Shares `token` as this run's cancellation flag (a session hands
+    /// in the one
+    /// [`ValuationSessionBuilder::cancel_token`](crate::session::ValuationSessionBuilder::cancel_token)
+    /// gave it).
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self

@@ -78,13 +78,12 @@ fn assert_pinned(methods: &[&str]) {
     let mut actual = Vec::new();
     for seed in SEEDS {
         let (world, trace) = pinned_world(seed);
-        let oracle = world.oracle(&trace);
+        let oracle = world.oracle(&trace).with_tier(DeterminismTier::BitExact);
         let mut session = ValuationSession::builder()
             .rank(3)
             .permutations(30)
             .samples(80)
             .seed(seed)
-            .tier(DeterminismTier::BitExact)
             .build();
         for &name in methods {
             let report = session
@@ -185,14 +184,11 @@ fn comfedsv_cell_counts_match_their_pinned_rows() {
     let mut actual = Vec::new();
     for seed in SEEDS {
         let (world, trace) = pinned_world(seed);
-        // The oracle's tier is the session's, so the session values on
-        // it rather than on a fresh-cache clone under any `FEDVAL_TIER`.
         let oracle = world.oracle(&trace).with_tier(DeterminismTier::BitExact);
         let mut session = ValuationSession::builder()
             .rank(3)
             .permutations(30)
             .seed(seed)
-            .tier(DeterminismTier::BitExact)
             .build();
         for name in ["comfedsv-mc", "comfedsv", "comfedsv-mc"] {
             let d = session.run(name, &oracle).unwrap().diagnostics;
@@ -208,21 +204,19 @@ fn comfedsv_cell_counts_match_their_pinned_rows() {
     assert_eq!(actual, PINNED_COUNTS, "this run's rows:\n{table}");
 }
 
-/// A session pinned to another tier than its oracle's values on a
-/// clone that shares the oracle's cache, so consecutive methods share
-/// cells as they do at one tier: the rows are the same-tier rows, and
-/// the values equal a fresh-cache run's at that tier.
+/// Consecutive methods on an oracle pinned to `Fast` share cells as
+/// they do at `BitExact`: the rows are the `BitExact` rows, and the
+/// values equal a fresh-cache run's at `Fast`.
 #[test]
-fn a_retiered_session_shares_cells_between_methods() {
+fn a_fast_oracle_shares_cells_between_methods() {
     for seed in SEEDS {
         let (world, trace) = pinned_world(seed);
-        let oracle = world.oracle(&trace).with_tier(DeterminismTier::BitExact);
+        let oracle = world.oracle(&trace).with_tier(DeterminismTier::Fast);
         let session = |isolated: bool| {
             ValuationSession::builder()
                 .rank(3)
                 .permutations(30)
                 .seed(seed)
-                .tier(DeterminismTier::Fast)
                 .isolated_runs(isolated)
                 .build()
         };

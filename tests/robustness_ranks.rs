@@ -45,7 +45,7 @@ fn fedsv_and_comfedsv_rank_free_riders_below_honest_clients_at_both_tiers() {
 
         for tier in [DeterminismTier::BitExact, DeterminismTier::Fast] {
             // Fresh-cache oracle pinned to the tier: no cross-tier leaks.
-            let tiered = oracle.isolated_with_tier(tier);
+            let tiered = oracle.isolated().with_tier(tier);
 
             let fed = FedSv::exact().run(&tiered).unwrap();
             assert_bad_strictly_below_honest(

@@ -34,8 +34,8 @@ fn fast_tier_preserves_client_ranking_across_seeded_worlds() {
         let oracle = world.oracle(&trace);
         // Fresh-cache oracles pinned to each tier: cached cells from one
         // tier must never leak into the other run.
-        let exact_oracle = oracle.isolated_with_tier(DeterminismTier::BitExact);
-        let fast_oracle = oracle.isolated_with_tier(DeterminismTier::Fast);
+        let exact_oracle = oracle.isolated().with_tier(DeterminismTier::BitExact);
+        let fast_oracle = oracle.isolated().with_tier(DeterminismTier::Fast);
 
         let fed_exact = FedSv::exact().run(&exact_oracle).unwrap();
         let fed_fast = FedSv::exact().run(&fast_oracle).unwrap();

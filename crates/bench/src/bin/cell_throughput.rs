@@ -404,7 +404,8 @@ fn push_kernel_rows(
 
 /// Times `reps` evaluations of a logistic cell's loss sum after its
 /// parameters two ways: the three steps (logits GEMM, bias, row-per-lane
-/// epilogue) against the one-pass [`vector::linear_cross_entropy`].
+/// epilogue) against the one-pass [`vector::linear_cross_entropy`] on
+/// the dataset's lane-packed rows, packed once as the cell packs them.
 /// Asserts the sums bit-identical.
 fn push_fused_case(
     out: &mut Vec<Measurement>,
@@ -416,6 +417,7 @@ fn push_fused_case(
     let (classes, dim) = (model.num_classes(), model.dim());
     let (w, b) = model.params().split_at(classes * dim);
     let (x, labels) = (data.features().as_slice(), data.labels());
+    let packed = data.packed_features();
     let mut logits = vec![0.0; labels.len() * classes];
     let mut scratch = gemm::Scratch::new();
     let ([secs_steps, secs_fused], [acc_steps, acc_fused]) = min_of(REPS, |_| {
@@ -426,8 +428,8 @@ fn push_fused_case(
             vector::cross_entropy_rows(&logits, classes, labels, 0.0)
         });
         let (secs_fused, acc_fused) = time_sum(reps, || {
-            let x = std::hint::black_box(x);
-            vector::linear_cross_entropy(x, w, b, labels, 0.0)
+            let packed = std::hint::black_box(packed);
+            vector::linear_cross_entropy(packed, w, b, labels, 0.0)
         });
         ([secs_steps, secs_fused], [acc_steps, acc_fused])
     });
@@ -557,9 +559,10 @@ fn main() {
         fedval_runtime::Pool::global_width()
     );
     println!(
-        "kernel dispatch: bit_exact -> {}, fast -> {}",
+        "kernel dispatch: bit_exact -> {}, fast -> {}, fused loss -> {}",
         fedval_linalg::cpu::kernel_isa(DeterminismTier::BitExact),
-        fedval_linalg::cpu::kernel_isa(DeterminismTier::Fast)
+        fedval_linalg::cpu::kernel_isa(DeterminismTier::Fast),
+        fedval_linalg::cpu::fused_isa()
     );
     println!(
         "{:>18}  {:>12}  {:>9}  {:>10}  {:>10}  {:>14}",
@@ -622,6 +625,7 @@ fn main() {
     w.str_field("bench", "cell_throughput");
     w.str_field("mode", mode);
     w.u64_field("pool_threads", fedval_runtime::Pool::global_width() as u64);
+    w.str_field("fused_isa", fedval_linalg::cpu::fused_isa().name());
     w.begin_array_field("cases");
     for m in &measurements {
         w.begin_object_compact();

@@ -29,6 +29,8 @@
 //!   "bench": "cell_throughput",
 //!   "mode": "smoke" | "full",
 //!   "pool_threads": 1,
+//!   "fused_isa": "scalar" | "avx2+fma" | "avx512+fma", // the loss kernels'
+//!                              // instantiation (fedval_linalg::cpu::fused_isa)
 //!   "cases": [
 //!     {
 //!       "case": "mlp_train" | "logistic_train" | "cnn_train" | "mlp_cell_loss"

@@ -1,6 +1,7 @@
 //! In-memory dataset container.
 
-use fedval_linalg::Matrix;
+use fedval_linalg::{vector, Matrix};
+use std::sync::OnceLock;
 
 /// A supervised classification dataset: an `n × d` feature matrix plus
 /// integer labels in `0..num_classes`.
@@ -9,6 +10,9 @@ pub struct Dataset {
     features: Matrix,
     labels: Vec<usize>,
     num_classes: usize,
+    /// The features lane-packed ([`packed_features`](Self::packed_features)),
+    /// built on first use. Every `&mut` path drops it.
+    packed: OnceLock<Vec<f64>>,
 }
 
 impl Dataset {
@@ -32,6 +36,7 @@ impl Dataset {
             features,
             labels,
             num_classes,
+            packed: OnceLock::new(),
         })
     }
 
@@ -60,9 +65,21 @@ impl Dataset {
         &self.features
     }
 
-    /// Mutable feature matrix (used by the noise injectors).
+    /// Mutable feature matrix (used by the noise injectors). Drops the
+    /// packed copy.
     pub fn features_mut(&mut self) -> &mut Matrix {
+        self.packed.take();
         &mut self.features
+    }
+
+    /// The feature rows lane-packed for the one-pass logistic loss
+    /// ([`vector::pack_rows`]). Built on the first call and kept until a
+    /// `&mut` method drops it: [`features_mut`](Self::features_mut),
+    /// [`labels_mut`](Self::labels_mut), or
+    /// [`subset_into`](Self::subset_into) on this dataset as its target.
+    pub fn packed_features(&self) -> &[f64] {
+        self.packed
+            .get_or_init(|| vector::pack_rows(self.features.as_slice(), self.dim()))
     }
 
     /// Labels.
@@ -70,8 +87,10 @@ impl Dataset {
         &self.labels
     }
 
-    /// Mutable labels (used by the label-flip injector).
+    /// Mutable labels (used by the label-flip injector). Drops the
+    /// packed copy.
     pub fn labels_mut(&mut self) -> &mut [usize] {
+        self.packed.take();
         &mut self.labels
     }
 
@@ -93,6 +112,7 @@ impl Dataset {
             features: feat,
             labels,
             num_classes: self.num_classes,
+            packed: OnceLock::new(),
         }
     }
 
@@ -102,6 +122,7 @@ impl Dataset {
     /// it is resized to `indices.len() × self.dim()`.
     pub fn subset_into(&self, indices: &[usize], out: &mut Dataset) {
         let d = self.dim();
+        out.packed.take();
         out.num_classes = self.num_classes;
         // Every row is copied below; skip the zero-fill pass.
         out.features.resize_for_overwrite(indices.len(), d);
@@ -154,6 +175,7 @@ impl Dataset {
             features: feat,
             labels,
             num_classes: c,
+            packed: OnceLock::new(),
         })
     }
 }
@@ -210,6 +232,48 @@ mod tests {
         d.subset_into(&[1], &mut out);
         assert_eq!(out.len(), 1);
         assert_eq!(out.example(0).0, &[2.0, 3.0]);
+    }
+
+    #[test]
+    fn packed_features_unpack_to_the_rows_and_follow_every_mutation() {
+        let unpack = |d: &Dataset| -> Vec<f64> {
+            let (n, k, packed) = (d.len(), d.dim(), d.packed_features());
+            assert_eq!(packed.len(), vector::packed_len(n, k));
+            let block = vector::PACK_ROWS * k;
+            let mut rows = Vec::with_capacity(n * k);
+            for r in 0..n {
+                let b = &packed[r / vector::PACK_ROWS * block..][..block];
+                rows.extend((0..k).map(|kk| b[kk * vector::PACK_ROWS + r % vector::PACK_ROWS]));
+            }
+            // A partial last block repeats the last row in its spare lanes.
+            for pad in n..n.next_multiple_of(vector::PACK_ROWS) {
+                let b = &packed[pad / vector::PACK_ROWS * block..][..block];
+                let spare: Vec<f64> = (0..k)
+                    .map(|kk| b[kk * vector::PACK_ROWS + pad % vector::PACK_ROWS])
+                    .collect();
+                assert_eq!(spare, d.example(n - 1).0, "spare lane {pad} of {n} rows");
+            }
+            rows
+        };
+        for n in (0..=17).chain([160, 255, 256, 257]) {
+            let f = Matrix::from_fn(n, 3, |r, c| (r * 3 + c) as f64 + 0.5);
+            let mut d = Dataset::new(f, vec![0; n], 2).unwrap();
+            assert_eq!(unpack(&d), d.features().as_slice(), "{n} rows");
+            if n == 0 {
+                continue;
+            }
+            d.features_mut().row_mut(n - 1)[1] = -7.0;
+            assert_eq!(unpack(&d), d.features().as_slice(), "{n} rows, edited");
+            let picks: Vec<usize> = (0..n).rev().collect();
+            let (mut out, want) = (d.subset(&[0]), d.subset(&picks));
+            assert_eq!(unpack(&out), out.features().as_slice());
+            d.subset_into(&picks, &mut out);
+            assert_eq!(
+                unpack(&out),
+                want.features().as_slice(),
+                "{n} rows, refilled"
+            );
+        }
     }
 
     #[test]

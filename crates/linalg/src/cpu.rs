@@ -4,8 +4,9 @@
 //! own entry point; this module performs the probe **once**, caches it,
 //! and exposes a single policy function, [`kernel_isa`], mapping a
 //! [`DeterminismTier`] to the instantiation that tier selects on this
-//! machine. The bench harness and log lines print the result, so a run
-//! records which kernels it actually executed.
+//! machine, plus [`fused_isa`], the instantiation of the fused op set
+//! the loss runs in both tiers. The bench harness and log lines print
+//! both, so a run records which kernels it actually executed.
 
 use crate::tier::DeterminismTier;
 use std::sync::OnceLock;
@@ -44,16 +45,20 @@ pub fn features() -> CpuFeatures {
     })
 }
 
-/// Which compiled instantiation of the GEMM family a tier runs.
+/// Which compiled instantiation of the GEMM family a tier runs
+/// ([`kernel_isa`]), or of the fused op set the loss runs in both tiers
+/// ([`fused_isa`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelIsa {
     /// Portable baseline (also the non-x86-64 answer for every tier).
     Scalar,
     /// AVX2, no contraction — bit-exact.
     Avx2,
-    /// AVX2 + FMA, reduction-reordered — `Fast` only.
+    /// AVX2 + FMA: the GEMM family's reduction-reordered `Fast`
+    /// kernels, or the fused op set's four lanes.
     Avx2Fma,
-    /// AVX-512 + FMA, reduction-reordered — `Fast` only.
+    /// AVX-512 + FMA: the GEMM family's reduction-reordered `Fast`
+    /// kernels, or the fused op set's eight-lane logistic loss.
     Avx512Fma,
 }
 
@@ -108,6 +113,17 @@ pub fn kernel_isa(tier: DeterminismTier) -> KernelIsa {
     }
 }
 
+/// The instantiation of the fused op set this machine runs in both
+/// tiers: glibc's `exp`, the loss epilogue
+/// ([`vector::cross_entropy_rows`](crate::vector::cross_entropy_rows))
+/// and the one-pass `BitExact` logistic loss
+/// ([`vector::linear_cross_entropy`](crate::vector::linear_cross_entropy)).
+/// AVX-512+FMA where AVX-512F and FMA are detected, then AVX2+FMA, then
+/// the portable one; every instantiation gives the same bits.
+pub fn fused_isa() -> KernelIsa {
+    crate::lanes::FusedLanes::detect().kernel_isa()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,6 +153,21 @@ mod tests {
                 )
             }
         }
+    }
+
+    /// `FusedLanes::detect` picks the eight lanes exactly where AVX-512F
+    /// and FMA are detected, else AVX2+FMA, else the portable lanes.
+    #[test]
+    fn fused_isa_follows_the_detected_features() {
+        let f = features();
+        let want = if cfg!(target_arch = "x86_64") && f.avx512f && f.fma {
+            KernelIsa::Avx512Fma
+        } else if cfg!(target_arch = "x86_64") && f.avx2 && f.fma {
+            KernelIsa::Avx2Fma
+        } else {
+            KernelIsa::Scalar
+        };
+        assert_eq!(fused_isa(), want, "{f:?}");
     }
 
     #[test]

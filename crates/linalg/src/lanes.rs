@@ -28,16 +28,20 @@
 //! counts fixed at compile time; other ranks take the scalar path.
 //!
 //! **The fused op set.** `FusedLanes` is a second, separate op set that
-//! has fused multiply-add, on AVX2+FMA `__m256d` and on portable
-//! `[f64; 4]` with `f64::mul_add`. It carries glibc's `exp`, ported bit
-//! for bit, the loss epilogue built on it, and the one-pass logistic
-//! loss `vector::linear_cross_entropy`, whose logits (one row per lane,
+//! has fused multiply-add, on AVX-512F+FMA `__m512d`, AVX2+FMA `__m256d`
+//! and portable `[f64; 4]` with `f64::mul_add`. It carries glibc's
+//! `exp`, ported bit for bit, the loss epilogue built on it, and the
+//! one-pass logistic loss `vector::linear_cross_entropy`, whose logits
+//! (one row per lane, eight rows per pack on AVX-512 and four elsewhere,
 //! one accumulator per class, 1–12 classes) are summed with separate
 //! multiplies and adds and never fused, so they keep the bits of
-//! `gemm::gemm_nt_into` (the `fused` module). A fused multiply-add
-//! rounds once in both instantiations, so they too give the same bits;
-//! on a CPU without FMA the portable one pays a libm `fma` call for
-//! each. The ridge kernels above never use it.
+//! `gemm::gemm_nt_into` (the `fused` module). It reads its rows
+//! lane-packed once per dataset (`vector::pack_rows`), so no pack
+//! transposes them. A fused multiply-add rounds once in every
+//! instantiation, so they too give the same bits; on a CPU without FMA
+//! the portable one pays a libm `fma` call for each. The ridge kernels
+//! above never use it, and stay four lanes wide: their packs are bound
+//! by `vdivpd`, whose per-element throughput AVX-512 does not raise.
 
 use crate::Matrix;
 

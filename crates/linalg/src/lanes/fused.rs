@@ -18,11 +18,15 @@
 //!
 //! **Bits.** Each step is one correctly rounded IEEE operation, and a
 //! fused multiply-add rounds once whether the CPU fuses it (`vfmadd`)
-//! or `f64::mul_add` computes it in software. So the AVX2+FMA
-//! `__m256d`, the portable `[f64; 4]` and the scalar `f64` instantiation
-//! give the same bits on every host; a host without FMA is only slower.
-//! On glibc x86-64 hosts with FMA they also equal libm's `exp`, which
-//! dispatches to `__exp_fma` there.
+//! or `f64::mul_add` computes it in software. So the AVX-512F+FMA
+//! `__m512d`, the AVX2+FMA `__m256d`, the portable `[f64; 4]` and the
+//! scalar `f64` instantiation give the same bits on every host; a host
+//! without FMA is only slower. On glibc x86-64 hosts with FMA they also
+//! equal libm's `exp`, which dispatches to `__exp_fma` there.
+//! [`FusedLanes::detect`] picks the eight-lane instantiation where
+//! AVX-512F and FMA are detected, then the AVX2 one, then the portable
+//! one. Only the linear cross-entropy runs eight lanes; under AVX-512
+//! the row-major epilogue runs the AVX2 four.
 //!
 //! **The table** is generated from its definition, not copied: word
 //! `2k + 1` holds the bits of `T_k`, the double nearest `2^(k/128)`,
@@ -43,24 +47,28 @@
 //! **The linear cross-entropy.** [`FusedLanes::linear_cross_entropy`]
 //! is a logistic model's whole loss in one pass: the logits
 //! `x · Wᵀ + bias`, then the epilogue above, without writing the logits
-//! out. Each pack of four rows keeps one accumulator per class, one row
-//! per lane; four `x` values of each row are loaded at a time and
-//! transposed in registers (a last 1–3 columns are gathered). Each
-//! accumulator starts at `+0.0` and adds `x · w` with `k` ascending, a
-//! separately rounded multiply then an add, as
+//! out. It reads `x` lane-packed
+//! ([`vector::pack_rows`](crate::vector::pack_rows)): blocks of
+//! [`PACK_ROWS`] = 8 rows, each block k-major, a partial last block
+//! repeating its last row, so the `L` lanes of a pack load one vector
+//! per `k`. The AVX-512 instantiation runs eight rows per pack, a whole
+//! block; the four-lane ones read half a block. Each pack keeps one
+//! accumulator per class, one row per lane. Each accumulator starts at
+//! `+0.0` and adds `x · w` with `k` ascending, a separately rounded
+//! multiply then an add, as
 //! [`gemm::gemm_nt_into`](crate::gemm::gemm_nt_into) does; then it adds
 //! the bias, as [`gemm::add_bias_rows`](crate::gemm::add_bias_rows)
 //! does, and the epilogue runs on the accumulators. So each row's loss
-//! has the bits of those three steps. The kernel is const-generic over
-//! the class count, 1–[`LINEAR_MAX_CLASSES`], so the accumulators stay
-//! in registers.
+//! has the bits of those three steps, and the spare lanes of a last
+//! pack are dropped. The kernel is const-generic over the class count,
+//! 1–[`LINEAR_MAX_CLASSES`], so the accumulators stay in registers.
 
 use crate::cpu;
-use crate::vector::LINEAR_MAX_CLASSES;
+use crate::vector::{packed_len, LINEAR_MAX_CLASSES, PACK_ROWS};
 
 /// Which instantiation of the fused op set runs. Only
-/// [`FusedLanes::avx2_fma`] makes the AVX2+FMA one, and only on a CPU
-/// that has both.
+/// [`FusedLanes::avx2_fma`] and [`FusedLanes::avx512_fma`] make the x86-64
+/// ones, and only on a CPU that has their features.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FusedLanes(FusedIsa);
 
@@ -68,12 +76,15 @@ pub(crate) struct FusedLanes(FusedIsa);
 enum FusedIsa {
     Portable,
     Avx2Fma,
+    Avx512Fma,
 }
 
 impl FusedLanes {
     /// The widest instantiation this CPU runs.
     pub(crate) fn detect() -> FusedLanes {
-        FusedLanes::avx2_fma().unwrap_or(FusedLanes::portable())
+        FusedLanes::avx512_fma()
+            .or_else(FusedLanes::avx2_fma)
+            .unwrap_or(FusedLanes::portable())
     }
 
     /// The portable instantiation: `[f64; 4]` lanes and `f64::mul_add`.
@@ -87,25 +98,43 @@ impl FusedLanes {
         (cfg!(target_arch = "x86_64") && f.avx2 && f.fma).then_some(FusedLanes(FusedIsa::Avx2Fma))
     }
 
+    /// The AVX-512F+FMA instantiation, if the CPU has both. Its row-major
+    /// ops run the AVX2 lanes: AVX-512F implies AVX2 (rustc enables AVX2
+    /// with `avx512f`).
+    pub(crate) fn avx512_fma() -> Option<FusedLanes> {
+        let f = cpu::features();
+        (cfg!(target_arch = "x86_64") && f.avx512f && f.fma)
+            .then_some(FusedLanes(FusedIsa::Avx512Fma))
+    }
+
+    /// The [`KernelIsa`](cpu::KernelIsa) this instantiation reports.
+    pub(crate) fn kernel_isa(self) -> cpu::KernelIsa {
+        match self.0 {
+            FusedIsa::Portable => cpu::KernelIsa::Scalar,
+            FusedIsa::Avx2Fma => cpu::KernelIsa::Avx2Fma,
+            FusedIsa::Avx512Fma => cpu::KernelIsa::Avx512Fma,
+        }
+    }
+
     /// glibc's `exp(x)`, the scalar one-lane form.
     pub(crate) fn exp(self, x: f64) -> f64 {
         match self.0 {
             FusedIsa::Portable => exp_lanes(x),
             #[cfg(target_arch = "x86_64")]
-            FusedIsa::Avx2Fma => {
+            FusedIsa::Avx2Fma | FusedIsa::Avx512Fma => {
                 /// # Safety
                 ///
-                /// The CPU must support AVX2 and FMA.
-                #[target_feature(enable = "avx2,fma")]
-                unsafe fn avx2_fma(x: f64) -> f64 {
+                /// The CPU must support FMA.
+                #[target_feature(enable = "fma")]
+                unsafe fn fma(x: f64) -> f64 {
                     exp_lanes(x)
                 }
-                // SAFETY: only `FusedLanes::avx2_fma` makes this
-                // instantiation, after detecting AVX2 and FMA.
-                unsafe { avx2_fma(x) }
+                // SAFETY: both x86-64 instantiations are made only after
+                // detecting FMA.
+                unsafe { fma(x) }
             }
             #[cfg(not(target_arch = "x86_64"))]
-            FusedIsa::Avx2Fma => unreachable!("FusedLanes::avx2_fma is None off x86-64"),
+            _ => unreachable!("only the portable instantiation exists off x86-64"),
         }
     }
 
@@ -123,7 +152,7 @@ impl FusedLanes {
         match self.0 {
             FusedIsa::Portable => cross_entropy_rows_in::<[f64; 4]>(logits, classes, labels, total),
             #[cfg(target_arch = "x86_64")]
-            FusedIsa::Avx2Fma => {
+            FusedIsa::Avx2Fma | FusedIsa::Avx512Fma => {
                 /// # Safety
                 ///
                 /// The CPU must support AVX2 and FMA.
@@ -138,20 +167,24 @@ impl FusedLanes {
                         logits, classes, labels, total,
                     )
                 }
-                // SAFETY: as in `exp`.
+                // SAFETY: both x86-64 instantiations are made only after
+                // detecting FMA and AVX2 or AVX-512F (see `avx512_fma`).
                 unsafe { avx2_fma(logits, classes, labels, total) }
             }
             #[cfg(not(target_arch = "x86_64"))]
-            FusedIsa::Avx2Fma => unreachable!("FusedLanes::avx2_fma is None off x86-64"),
+            _ => unreachable!("only the portable instantiation exists off x86-64"),
         }
     }
 
     /// `total` plus, row by row in order, the cross-entropy of the row's
-    /// logits `x_r · Wᵀ + bias` against its label: `x` is `labels.len()`
-    /// rows of `k`, `w` is `bias.len()` rows of `k`, row-major.
-    /// Bit-identical to [`gemm::gemm_nt_into`](crate::gemm::gemm_nt_into),
+    /// logits `x_r · Wᵀ + bias` against its label: `packed` is the
+    /// `labels.len()` rows of `k` lane-packed
+    /// ([`vector::pack_rows`](crate::vector::pack_rows)), `w` is
+    /// `bias.len()` rows of `k`, row-major. Bit-identical to
+    /// [`gemm::gemm_nt_into`](crate::gemm::gemm_nt_into),
     /// [`gemm::add_bias_rows`](crate::gemm::add_bias_rows) and
-    /// [`Self::cross_entropy_rows`] (see the module docs).
+    /// [`Self::cross_entropy_rows`] on the unpacked rows (see the module
+    /// docs).
     ///
     /// # Panics
     ///
@@ -159,7 +192,7 @@ impl FusedLanes {
     /// those shapes.
     pub(crate) fn linear_cross_entropy(
         self,
-        x: &[f64],
+        packed: &[f64],
         w: &[f64],
         bias: &[f64],
         labels: &[usize],
@@ -168,18 +201,18 @@ impl FusedLanes {
         macro_rules! by_classes {
             ($kernel:ident) => {
                 match bias.len() {
-                    1 => $kernel::<1>(x, w, bias, labels, total),
-                    2 => $kernel::<2>(x, w, bias, labels, total),
-                    3 => $kernel::<3>(x, w, bias, labels, total),
-                    4 => $kernel::<4>(x, w, bias, labels, total),
-                    5 => $kernel::<5>(x, w, bias, labels, total),
-                    6 => $kernel::<6>(x, w, bias, labels, total),
-                    7 => $kernel::<7>(x, w, bias, labels, total),
-                    8 => $kernel::<8>(x, w, bias, labels, total),
-                    9 => $kernel::<9>(x, w, bias, labels, total),
-                    10 => $kernel::<10>(x, w, bias, labels, total),
-                    11 => $kernel::<11>(x, w, bias, labels, total),
-                    12 => $kernel::<12>(x, w, bias, labels, total),
+                    1 => $kernel::<1>(packed, w, bias, labels, total),
+                    2 => $kernel::<2>(packed, w, bias, labels, total),
+                    3 => $kernel::<3>(packed, w, bias, labels, total),
+                    4 => $kernel::<4>(packed, w, bias, labels, total),
+                    5 => $kernel::<5>(packed, w, bias, labels, total),
+                    6 => $kernel::<6>(packed, w, bias, labels, total),
+                    7 => $kernel::<7>(packed, w, bias, labels, total),
+                    8 => $kernel::<8>(packed, w, bias, labels, total),
+                    9 => $kernel::<9>(packed, w, bias, labels, total),
+                    10 => $kernel::<10>(packed, w, bias, labels, total),
+                    11 => $kernel::<11>(packed, w, bias, labels, total),
+                    12 => $kernel::<12>(packed, w, bias, labels, total),
                     c => panic!(
                         "linear_cross_entropy serves 1..={LINEAR_MAX_CLASSES} classes, not {c}"
                     ),
@@ -192,8 +225,12 @@ impl FusedLanes {
             // SAFETY: only `FusedLanes::avx2_fma` makes this
             // instantiation, after detecting AVX2 and FMA.
             FusedIsa::Avx2Fma => unsafe { by_classes!(linear_cross_entropy_avx2_fma) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: only `FusedLanes::avx512_fma` makes this
+            // instantiation, after detecting AVX-512F and FMA.
+            FusedIsa::Avx512Fma => unsafe { by_classes!(linear_cross_entropy_avx512_fma) },
             #[cfg(not(target_arch = "x86_64"))]
-            FusedIsa::Avx2Fma => unreachable!("FusedLanes::avx2_fma is None off x86-64"),
+            _ => unreachable!("only the portable instantiation exists off x86-64"),
         }
     }
 
@@ -204,7 +241,7 @@ impl FusedLanes {
         match self.0 {
             FusedIsa::Portable => softmax_rows_in::<[f64; 4]>(logits, classes, out),
             #[cfg(target_arch = "x86_64")]
-            FusedIsa::Avx2Fma => {
+            FusedIsa::Avx2Fma | FusedIsa::Avx512Fma => {
                 /// # Safety
                 ///
                 /// The CPU must support AVX2 and FMA.
@@ -212,11 +249,11 @@ impl FusedLanes {
                 unsafe fn avx2_fma(logits: &[f64], classes: usize, out: &mut [f64]) {
                     softmax_rows_in::<std::arch::x86_64::__m256d>(logits, classes, out);
                 }
-                // SAFETY: as in `exp`.
+                // SAFETY: as in `cross_entropy_rows`.
                 unsafe { avx2_fma(logits, classes, out) }
             }
             #[cfg(not(target_arch = "x86_64"))]
-            FusedIsa::Avx2Fma => unreachable!("FusedLanes::avx2_fma is None off x86-64"),
+            _ => unreachable!("only the portable instantiation exists off x86-64"),
         }
     }
 }
@@ -376,8 +413,8 @@ pub(crate) static EXP_TABLE: [u64; 256] = [
     0x3c5305c14160cc89, 0x3feff3c22b8f71f1,
 ];
 
-/// One or four `f64` lanes and the operations glibc's `exp` and the
-/// epilogue use: correctly rounded IEEE operations, one fused
+/// One, four or eight `f64` lanes and the operations glibc's `exp` and
+/// the epilogue use: correctly rounded IEEE operations, one fused
 /// multiply-add, and the table and branch steps of `exp`.
 pub(crate) trait Fused: Copy {
     fn splat(v: f64) -> Self;
@@ -404,12 +441,10 @@ pub(crate) trait Fused: Copy {
     fn exp_branches(self, y: Self) -> Self;
 }
 
-/// [`Fused`] lanes that come four to a pack.
-pub(crate) trait Fused4: Fused {
-    fn from_array(v: [f64; 4]) -> Self;
-    fn to_array(self) -> [f64; 4];
-    /// The 4 × 4 transpose: lane `j` of output `i` is `rows[j][i]`.
-    fn transpose(rows: [&[f64; 4]; 4]) -> [Self; 4];
+/// [`Fused`] lanes that come `L` to a pack.
+pub(crate) trait FusedPack<const L: usize>: Fused {
+    fn from_array(v: [f64; L]) -> Self;
+    fn to_array(self) -> [f64; L];
 }
 
 impl Fused for f64 {
@@ -507,7 +542,7 @@ impl Fused for [f64; 4] {
     }
 }
 
-impl Fused4 for [f64; 4] {
+impl FusedPack<4> for [f64; 4] {
     #[inline(always)]
     fn from_array(v: [f64; 4]) -> Self {
         v
@@ -515,10 +550,6 @@ impl Fused4 for [f64; 4] {
     #[inline(always)]
     fn to_array(self) -> [f64; 4] {
         self
-    }
-    #[inline(always)]
-    fn transpose(rows: [&[f64; 4]; 4]) -> [Self; 4] {
-        std::array::from_fn(|i| rows.map(|row| row[i]))
     }
 }
 
@@ -607,7 +638,7 @@ impl Fused for std::arch::x86_64::__m256d {
 }
 
 #[cfg(target_arch = "x86_64")]
-impl Fused4 for std::arch::x86_64::__m256d {
+impl FusedPack<4> for std::arch::x86_64::__m256d {
     #[inline(always)]
     fn from_array(v: [f64; 4]) -> Self {
         // SAFETY: AVX2 is present (see the `Fused` impl); `v` holds four
@@ -622,23 +653,110 @@ impl Fused4 for std::arch::x86_64::__m256d {
         unsafe { std::arch::x86_64::_mm256_storeu_pd(v.as_mut_ptr(), self) };
         v
     }
+}
+
+/// The AVX-512F+FMA lanes. Kernels are instantiated on them only inside
+/// AVX-512F+FMA functions, which run only on a CPU with both
+/// (`FusedLanes(FusedIsa::Avx512Fma)` exists only there): that is what
+/// every `unsafe` block below relies on.
+#[cfg(target_arch = "x86_64")]
+impl Fused for std::arch::x86_64::__m512d {
     #[inline(always)]
-    fn transpose(rows: [&[f64; 4]; 4]) -> [Self; 4] {
+    fn splat(v: f64) -> Self {
+        // SAFETY: AVX-512F is present (see the impl).
+        unsafe { std::arch::x86_64::_mm512_set1_pd(v) }
+    }
+    #[inline(always)]
+    fn add(self, o: Self) -> Self {
+        // SAFETY: AVX-512F is present (see the impl).
+        unsafe { std::arch::x86_64::_mm512_add_pd(self, o) }
+    }
+    #[inline(always)]
+    fn sub(self, o: Self) -> Self {
+        // SAFETY: AVX-512F is present (see the impl).
+        unsafe { std::arch::x86_64::_mm512_sub_pd(self, o) }
+    }
+    #[inline(always)]
+    fn mul(self, o: Self) -> Self {
+        // SAFETY: AVX-512F is present (see the impl).
+        unsafe { std::arch::x86_64::_mm512_mul_pd(self, o) }
+    }
+    #[inline(always)]
+    fn div(self, o: Self) -> Self {
+        // SAFETY: AVX-512F is present (see the impl).
+        unsafe { std::arch::x86_64::_mm512_div_pd(self, o) }
+    }
+    #[inline(always)]
+    fn mul_add(self, a: Self, b: Self) -> Self {
+        // SAFETY: AVX-512F is present (see the impl).
+        unsafe { std::arch::x86_64::_mm512_fmadd_pd(self, a, b) }
+    }
+    #[inline(always)]
+    fn max_acc(self, x: Self) -> Self {
+        // `vmaxpd` returns its second operand when the first is NaN or
+        // both are zeros, and the larger value otherwise.
+        // SAFETY: AVX-512F is present (see the impl).
+        unsafe { std::arch::x86_64::_mm512_max_pd(x, self) }
+    }
+    #[inline(always)]
+    fn exp_table(self) -> (Self, Self) {
         use std::arch::x86_64::*;
-        // SAFETY: AVX2 is present (see the `Fused` impl); each row holds
-        // four f64s. Shuffles move bits and round nothing.
+        // SAFETY: AVX-512F is present (see the impl). Each gathered
+        // index is `2(k mod 128)` or one more, so at most 255, inside
+        // the table.
         unsafe {
-            let [r0, r1, r2, r3] = rows.map(|row| _mm256_loadu_pd(row.as_ptr()));
-            // (r0[0], r1[0], r0[2], r1[2]), (r0[1], r1[1], r0[3], r1[3]), …
-            let (lo01, hi01) = (_mm256_unpacklo_pd(r0, r1), _mm256_unpackhi_pd(r0, r1));
-            let (lo23, hi23) = (_mm256_unpacklo_pd(r2, r3), _mm256_unpackhi_pd(r2, r3));
-            [
-                _mm256_permute2f128_pd::<0x20>(lo01, lo23),
-                _mm256_permute2f128_pd::<0x20>(hi01, hi23),
-                _mm256_permute2f128_pd::<0x31>(lo01, lo23),
-                _mm256_permute2f128_pd::<0x31>(hi01, hi23),
-            ]
+            let ki = _mm512_castpd_si512(self);
+            let idx = _mm512_slli_epi64::<1>(_mm512_and_si512(ki, _mm512_set1_epi64(127)));
+            let words = EXP_TABLE.as_ptr().cast::<i64>();
+            let tail = _mm512_i64gather_pd::<8>(idx, words.cast::<f64>());
+            let top = _mm512_i64gather_epi64::<8>(idx, words.add(1));
+            let scale = _mm512_add_epi64(top, _mm512_slli_epi64::<45>(ki));
+            (tail, _mm512_castsi512_pd(scale))
         }
+    }
+    #[inline(always)]
+    fn exp_branches(self, y: Self) -> Self {
+        use std::arch::x86_64::*;
+        // SAFETY: AVX-512F is present (see the impl).
+        let (y, below) = unsafe {
+            let ax = _mm512_abs_pd(self);
+            let tiny = _mm512_cmp_pd_mask::<_CMP_LT_OQ>(ax, _mm512_set1_pd(TINY));
+            let y = _mm512_mask_blend_pd(tiny, y, _mm512_add_pd(_mm512_set1_pd(1.0), self));
+            // Clear for NaN, so NaN lanes leave the main path too.
+            (
+                y,
+                _mm512_cmp_pd_mask::<_CMP_LT_OQ>(ax, _mm512_set1_pd(LARGE)),
+            )
+        };
+        if below == 0xff {
+            return y;
+        }
+        let (x, y) = (self.to_array(), y.to_array());
+        Self::from_array(std::array::from_fn(|j| {
+            if below >> j & 1 == 1 {
+                y[j]
+            } else {
+                exp_outside(x[j])
+            }
+        }))
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+impl FusedPack<8> for std::arch::x86_64::__m512d {
+    #[inline(always)]
+    fn from_array(v: [f64; 8]) -> Self {
+        // SAFETY: AVX-512F is present (see the `Fused` impl); `v` holds
+        // eight f64s.
+        unsafe { std::arch::x86_64::_mm512_loadu_pd(v.as_ptr()) }
+    }
+    #[inline(always)]
+    fn to_array(self) -> [f64; 8] {
+        let mut v = [0.0; 8];
+        // SAFETY: AVX-512F is present (see the `Fused` impl); `v` holds
+        // eight f64s.
+        unsafe { std::arch::x86_64::_mm512_storeu_pd(v.as_mut_ptr(), self) };
+        v
     }
 }
 
@@ -727,20 +845,20 @@ fn pack(logits: &[f64], classes: usize, first: usize, n: usize) -> [&[f64]; 4] {
 
 /// Lane `j` holds `rows[j][k]`.
 #[inline(always)]
-fn column<V: Fused4>(rows: &[&[f64]; 4], k: usize) -> V {
+fn column<V: FusedPack<4>>(rows: &[&[f64]; 4], k: usize) -> V {
     V::from_array(rows.map(|row| row[k]))
 }
 
 /// Per lane, the max of `column(0..classes)`, folded from −∞ as the
 /// scalar path folds it.
 #[inline(always)]
-fn row_max<V: Fused4>(classes: usize, column: impl Fn(usize) -> V) -> V {
+fn row_max<V: Fused>(classes: usize, column: impl Fn(usize) -> V) -> V {
     (0..classes).fold(V::splat(f64::NEG_INFINITY), |m, k| m.max_acc(column(k)))
 }
 
 /// See [`FusedLanes::cross_entropy_rows`].
 #[inline(always)]
-fn cross_entropy_rows_in<V: Fused4>(
+fn cross_entropy_rows_in<V: FusedPack<4>>(
     logits: &[f64],
     classes: usize,
     labels: &[usize],
@@ -765,7 +883,10 @@ fn cross_entropy_rows_in<V: Fused4>(
 /// lane's row `column(0..classes)`, its `is_infinite` early return
 /// included.
 #[inline(always)]
-fn log_sum_exp_lanes<V: Fused4>(classes: usize, column: impl Fn(usize) -> V) -> [f64; 4] {
+fn log_sum_exp_lanes<V: FusedPack<L>, const L: usize>(
+    classes: usize,
+    column: impl Fn(usize) -> V,
+) -> [f64; L] {
     let m = row_max(classes, &column);
     let sum = (0..classes).fold(V::splat(-0.0), |s, k| s.add(exp_lanes(column(k).sub(m))));
     let (m, sum) = (m.to_array(), sum.to_array());
@@ -780,7 +901,7 @@ fn log_sum_exp_lanes<V: Fused4>(classes: usize, column: impl Fn(usize) -> V) -> 
 
 /// See [`FusedLanes::softmax_rows`].
 #[inline(always)]
-fn softmax_rows_in<V: Fused4>(logits: &[f64], classes: usize, out: &mut [f64]) {
+fn softmax_rows_in<V: FusedPack<4>>(logits: &[f64], classes: usize, out: &mut [f64]) {
     assert_eq!(logits.len(), out.len(), "one output per logit");
     if classes == 0 {
         assert!(logits.is_empty(), "logits are rows × classes");
@@ -808,18 +929,20 @@ fn softmax_rows_in<V: Fused4>(logits: &[f64], classes: usize, out: &mut [f64]) {
     }
 }
 
-/// The portable instantiation of [`linear_cross_entropy_in`].
+/// The portable instantiation of [`linear_cross_entropy_in`]: four lanes,
+/// half a block per pack.
 fn linear_cross_entropy_portable<const C: usize>(
-    x: &[f64],
+    packed: &[f64],
     w: &[f64],
     bias: &[f64],
     labels: &[usize],
     total: f64,
 ) -> f64 {
-    linear_cross_entropy_in::<[f64; 4], C>(x, w, bias, labels, total)
+    linear_cross_entropy_in::<[f64; 4], 4, C>(packed, w, bias, labels, total)
 }
 
-/// The AVX2+FMA instantiation of [`linear_cross_entropy_in`].
+/// The AVX2+FMA instantiation of [`linear_cross_entropy_in`]: four lanes,
+/// half a block per pack.
 ///
 /// # Safety
 ///
@@ -827,32 +950,57 @@ fn linear_cross_entropy_portable<const C: usize>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn linear_cross_entropy_avx2_fma<const C: usize>(
-    x: &[f64],
+    packed: &[f64],
     w: &[f64],
     bias: &[f64],
     labels: &[usize],
     total: f64,
 ) -> f64 {
-    linear_cross_entropy_in::<std::arch::x86_64::__m256d, C>(x, w, bias, labels, total)
+    linear_cross_entropy_in::<std::arch::x86_64::__m256d, 4, C>(packed, w, bias, labels, total)
 }
 
-/// See [`FusedLanes::linear_cross_entropy`].
+/// The AVX-512F+FMA instantiation of [`linear_cross_entropy_in`]: eight
+/// lanes, a whole block per pack.
+///
+/// # Safety
+///
+/// The CPU must support AVX-512F and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,fma")]
+unsafe fn linear_cross_entropy_avx512_fma<const C: usize>(
+    packed: &[f64],
+    w: &[f64],
+    bias: &[f64],
+    labels: &[usize],
+    total: f64,
+) -> f64 {
+    linear_cross_entropy_in::<std::arch::x86_64::__m512d, 8, C>(packed, w, bias, labels, total)
+}
+
+/// See [`FusedLanes::linear_cross_entropy`]. A pack of `L` rows reads
+/// lanes `(p·L) mod PACK_ROWS ..` of its block.
 #[inline(always)]
-fn linear_cross_entropy_in<V: Fused4, const C: usize>(
-    x: &[f64],
+fn linear_cross_entropy_in<V: FusedPack<L>, const L: usize, const C: usize>(
+    packed: &[f64],
     w: &[f64],
     bias: &[f64],
     labels: &[usize],
     mut total: f64,
 ) -> f64 {
+    const { assert!(PACK_ROWS.is_multiple_of(L)) };
     let bias: &[f64; C] = bias.try_into().expect("one bias per class");
     let k = w.len() / C;
     assert_eq!(w.len(), C * k, "w is classes × k");
-    assert_eq!(x.len(), labels.len() * k, "x is rows × k");
+    assert_eq!(
+        packed.len(),
+        packed_len(labels.len(), k),
+        "packed is the rows' blocks of k"
+    );
     let w: [&[f64]; C] = std::array::from_fn(|c| &w[c * k..(c + 1) * k]);
-    for (p, ys) in labels.chunks(4).enumerate() {
-        let rows = pack(x, k, 4 * p, ys.len());
-        let dots = dot_lanes::<V, C>(&rows, &w);
+    for (p, ys) in labels.chunks(L).enumerate() {
+        let (block, lane) = ((p * L) / PACK_ROWS, (p * L) % PACK_ROWS);
+        let block = &packed[block * PACK_ROWS * k..(block + 1) * PACK_ROWS * k];
+        let dots = dot_lanes::<V, L, C>(block, lane, &w);
         let logits: [V; C] = std::array::from_fn(|c| dots[c].add(V::splat(bias[c])));
         let lse = log_sum_exp_lanes(C, |c| logits[c]);
         for (j, &y) in ys.iter().enumerate() {
@@ -862,23 +1010,18 @@ fn linear_cross_entropy_in<V: Fused4, const C: usize>(
     total
 }
 
-/// Per class `c` and lane `j`, the dot of row `j` with `w[c]`: from
-/// `+0.0`, `+ x · w` with `k` ascending, each product rounded on its own.
+/// Per class `c` and lane `j`, the dot of the block's row `lane + j`
+/// with `w[c]`: from `+0.0`, `+ x · w` with `k` ascending, each product
+/// rounded on its own.
 #[inline(always)]
-fn dot_lanes<V: Fused4, const C: usize>(rows: &[&[f64]; 4], w: &[&[f64]; C]) -> [V; C] {
+fn dot_lanes<V: FusedPack<L>, const L: usize, const C: usize>(
+    block: &[f64],
+    lane: usize,
+    w: &[&[f64]; C],
+) -> [V; C] {
     let mut acc = [V::splat(0.0); C];
-    let k = rows[0].len();
-    let whole = k - k % 4;
-    for kk in (0..whole).step_by(4) {
-        let xs = V::transpose(rows.map(|row| row[kk..kk + 4].try_into().expect("4 wide")));
-        for (i, x) in xs.into_iter().enumerate() {
-            for (a, wc) in acc.iter_mut().zip(w) {
-                *a = a.add(x.mul(V::splat(wc[kk + i])));
-            }
-        }
-    }
-    for kk in whole..k {
-        let x = V::from_array(rows.map(|row| row[kk]));
+    for (kk, column) in block.chunks_exact(PACK_ROWS).enumerate() {
+        let x = V::from_array(column[lane..lane + L].try_into().expect("L lanes"));
         for (a, wc) in acc.iter_mut().zip(w) {
             *a = a.add(x.mul(V::splat(wc[kk])));
         }
@@ -893,54 +1036,85 @@ mod tests {
 
     /// Every instantiation of the fused op set this CPU runs.
     fn instantiations() -> Vec<FusedLanes> {
-        [Some(FusedLanes::portable()), FusedLanes::avx2_fma()]
-            .into_iter()
-            .flatten()
-            .collect()
+        [
+            Some(FusedLanes::portable()),
+            FusedLanes::avx2_fma(),
+            FusedLanes::avx512_fma(),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
-    /// The four-lane `exp` of `lanes` on every element of `x`.
+    /// The widest lanes of `lanes` on every element of `x`, `L` at a time.
     fn exp_slice(lanes: FusedLanes, x: &[f64]) -> Vec<f64> {
-        fn run<V: Fused4>(x: &[f64], out: &mut Vec<f64>) {
-            for c in x.chunks(4) {
-                let pad: [f64; 4] = std::array::from_fn(|j| c[j.min(c.len() - 1)]);
+        fn run<V: FusedPack<L>, const L: usize>(x: &[f64], out: &mut Vec<f64>) {
+            for c in x.chunks(L) {
+                let pad: [f64; L] = std::array::from_fn(|j| c[j.min(c.len() - 1)]);
                 out.extend_from_slice(&exp_lanes(V::from_array(pad)).to_array()[..c.len()]);
             }
         }
         let mut out = Vec::with_capacity(x.len());
         match lanes.0 {
-            FusedIsa::Portable => run::<[f64; 4]>(x, &mut out),
+            FusedIsa::Portable => run::<[f64; 4], 4>(x, &mut out),
             #[cfg(target_arch = "x86_64")]
             FusedIsa::Avx2Fma => {
                 #[target_feature(enable = "avx2,fma")]
                 unsafe fn avx2_fma(x: &[f64], out: &mut Vec<f64>) {
-                    run::<std::arch::x86_64::__m256d>(x, out);
+                    run::<std::arch::x86_64::__m256d, 4>(x, out);
                 }
                 // SAFETY: `lanes` came from `FusedLanes::avx2_fma`.
                 unsafe { avx2_fma(x, &mut out) }
             }
+            #[cfg(target_arch = "x86_64")]
+            FusedIsa::Avx512Fma => {
+                #[target_feature(enable = "avx512f,fma")]
+                unsafe fn avx512_fma(x: &[f64], out: &mut Vec<f64>) {
+                    run::<std::arch::x86_64::__m512d, 8>(x, out);
+                }
+                // SAFETY: `lanes` came from `FusedLanes::avx512_fma`.
+                unsafe { avx512_fma(x, &mut out) }
+            }
             #[cfg(not(target_arch = "x86_64"))]
-            FusedIsa::Avx2Fma => unreachable!(),
+            _ => unreachable!(),
         }
         out
     }
 
-    /// [`log_sum_exp_lanes`] of `lanes` on four rows.
+    /// [`log_sum_exp_lanes`] of the widest lanes of `lanes` on four rows
+    /// (eight lanes hold them twice).
     fn log_sum_exp_pack_of(lanes: FusedLanes, rows: [&[f64]; 4]) -> [f64; 4] {
-        let classes = rows[0].len();
+        fn run<V: FusedPack<L>, const L: usize>(rows: &[&[f64]; 4]) -> [f64; 4] {
+            let lse = log_sum_exp_lanes(rows[0].len(), |k| {
+                V::from_array(std::array::from_fn(|j| rows[j % 4][k]))
+            });
+            for j in 4..L {
+                assert_eq!(lse[j].to_bits(), lse[j % 4].to_bits(), "lane {j}");
+            }
+            std::array::from_fn(|j| lse[j])
+        }
         match lanes.0 {
-            FusedIsa::Portable => log_sum_exp_lanes(classes, |k| column::<[f64; 4]>(&rows, k)),
+            FusedIsa::Portable => run::<[f64; 4], 4>(&rows),
             #[cfg(target_arch = "x86_64")]
             FusedIsa::Avx2Fma => {
                 #[target_feature(enable = "avx2,fma")]
-                unsafe fn avx2_fma(rows: &[&[f64]; 4], classes: usize) -> [f64; 4] {
-                    log_sum_exp_lanes(classes, |k| column::<std::arch::x86_64::__m256d>(rows, k))
+                unsafe fn avx2_fma(rows: &[&[f64]; 4]) -> [f64; 4] {
+                    run::<std::arch::x86_64::__m256d, 4>(rows)
                 }
                 // SAFETY: `lanes` came from `FusedLanes::avx2_fma`.
-                unsafe { avx2_fma(&rows, classes) }
+                unsafe { avx2_fma(&rows) }
+            }
+            #[cfg(target_arch = "x86_64")]
+            FusedIsa::Avx512Fma => {
+                #[target_feature(enable = "avx512f,fma")]
+                unsafe fn avx512_fma(rows: &[&[f64]; 4]) -> [f64; 4] {
+                    run::<std::arch::x86_64::__m512d, 8>(rows)
+                }
+                // SAFETY: `lanes` came from `FusedLanes::avx512_fma`.
+                unsafe { avx512_fma(&rows) }
             }
             #[cfg(not(target_arch = "x86_64"))]
-            FusedIsa::Avx2Fma => unreachable!(),
+            _ => unreachable!(),
         }
     }
 
@@ -1397,9 +1571,11 @@ mod tests {
     fn linear_cross_entropy_equals_the_three_steps_bitwise() {
         let mut s = Stream(23);
         let nonfinite = [0.0, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        // Every fill of a last 8-row block, and of a last 4-row half.
+        let counts: Vec<usize> = (0..=17).chain([160, 255, 256, 257]).collect();
         for classes in 1..=vector::LINEAR_MAX_CLASSES {
             for k in [1, 2, 3, 4, 5, 24, 60, 61] {
-                for rows in [0, 1, 3, 4, 5, 160, 257] {
+                for &rows in &counts {
                     let labels: Vec<usize> = (0..rows).map(|r| (r * 5 + 1) % classes).collect();
                     // Plain operands; signed zeros with biases whose
                     // logits reach |z| ≥ 512 (glibc's `exp` off its main
@@ -1427,27 +1603,31 @@ mod tests {
                         let what = format!("case {case}, {rows} × {k} × {classes}");
                         let want = three_steps(x, w, bias, &labels, 1.5);
                         assert!(case == 2 || want.is_finite(), "{what} stays finite");
+                        let packed = vector::pack_rows(x, k);
                         // Row by row too, so a NaN row hides no other.
                         let row = |r: usize| &x[r * k..(r + 1) * k];
-                        let want_rows: Vec<f64> = (0..rows.min(9))
-                            .map(|r| three_steps(row(r), w, bias, &labels[r..=r], 0.0))
+                        let want_rows: Vec<(Vec<f64>, f64)> = (0..rows.min(9))
+                            .map(|r| {
+                                let want = three_steps(row(r), w, bias, &labels[r..=r], 0.0);
+                                (vector::pack_rows(row(r), k), want)
+                            })
                             .collect();
                         for lanes in instantiations() {
-                            let got = lanes.linear_cross_entropy(x, w, bias, &labels, 1.5);
+                            let got = lanes.linear_cross_entropy(&packed, w, bias, &labels, 1.5);
                             assert!(
                                 same_bits(got, want),
                                 "{lanes:?}, {what}: {got:e} vs {want:e}"
                             );
-                            for (r, &want) in want_rows.iter().enumerate() {
+                            for (r, (packed, want)) in want_rows.iter().enumerate() {
                                 let got = lanes.linear_cross_entropy(
-                                    row(r),
+                                    packed,
                                     w,
                                     bias,
                                     &labels[r..=r],
                                     0.0,
                                 );
                                 assert!(
-                                    same_bits(got, want),
+                                    same_bits(got, *want),
                                     "{lanes:?}, {what}, row {r}: {got:e} vs {want:e}"
                                 );
                             }

@@ -37,11 +37,13 @@
 //! [`LINEAR_MAX_CLASSES`](crate::vector::LINEAR_MAX_CLASSES) classes
 //! computes its loss with
 //! [`vector::linear_cross_entropy`](crate::vector::linear_cross_entropy):
-//! the logits `x · Wᵀ + bias` and the epilogue in one pass, four rows
-//! per pack, the logits kept in registers. Each logit is still one
-//! accumulator from `+0.0` that adds separately rounded products in
-//! ascending `k`, then the bias; each row then takes the epilogue's
-//! operations in its order. So the loss has the bits of
+//! the logits `x · Wᵀ + bias` and the epilogue in one pass over the
+//! dataset's lane-packed rows, the logits kept in registers: eight rows
+//! per pack on the AVX-512F+FMA instantiation, four on the AVX2+FMA and
+//! portable ones (`cpu::fused_isa` names the one that runs). Each logit
+//! is still one accumulator from `+0.0` that adds separately rounded
+//! products in ascending `k`, then the bias; each row then takes the
+//! epilogue's operations in its order. So the loss has the bits of
 //! `gemm::gemm_nt_into`, `gemm::add_bias_rows` and
 //! `vector::cross_entropy_rows` run one after another. The `Fast` tier,
 //! the gradients, logistic heads wider than 12 classes and the MLP and

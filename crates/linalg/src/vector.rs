@@ -210,30 +210,72 @@ pub fn cross_entropy_rows(logits: &[f64], classes: usize, labels: &[usize], tota
 }
 
 /// Widest class count [`linear_cross_entropy`] serves: one accumulator
-/// register per class, twelve of the sixteen.
+/// register per class, twelve of the sixteen AVX2 registers (of the
+/// thirty-two under AVX-512).
 pub const LINEAR_MAX_CLASSES: usize = 12;
+
+/// Rows per block of the lane-packed layout [`linear_cross_entropy`]
+/// reads ([`pack_rows`]): one AVX-512 register of `f64`.
+pub const PACK_ROWS: usize = 8;
+
+/// The length of [`pack_rows`]' output for `rows` rows of `k`: whole
+/// blocks of [`PACK_ROWS`] rows.
+pub fn packed_len(rows: usize, k: usize) -> usize {
+    rows.div_ceil(PACK_ROWS) * PACK_ROWS * k
+}
+
+/// The rows of row-major `x` (rows of `k`), lane-packed for
+/// [`linear_cross_entropy`]: blocks of [`PACK_ROWS`] rows, each block
+/// k-major, so value `kk` of the block's row `j` sits at
+/// `kk · PACK_ROWS + j` in it. A partial last block repeats its last
+/// row. With `k = 0` there is nothing to pack.
+///
+/// # Panics
+///
+/// If `x.len()` is not a multiple of a nonzero `k`.
+pub fn pack_rows(x: &[f64], k: usize) -> Vec<f64> {
+    if k == 0 {
+        return Vec::new();
+    }
+    assert_eq!(x.len() % k, 0, "x is rows × k");
+    let rows = x.len() / k;
+    let mut packed = Vec::with_capacity(packed_len(rows, k));
+    for first in (0..rows).step_by(PACK_ROWS) {
+        let block: [&[f64]; PACK_ROWS] = std::array::from_fn(|j| {
+            let r = (first + j).min(rows - 1);
+            &x[r * k..(r + 1) * k]
+        });
+        for kk in 0..k {
+            packed.extend(block.map(|row| row[kk]));
+        }
+    }
+    packed
+}
 
 /// `total` plus, row by row in order, the cross-entropy of the logits
 /// `x_r · Wᵀ + bias` against `labels`: a logistic model's summed loss,
-/// with `x` `labels.len()` rows of `k` and `w` `bias.len()` rows of `k`,
-/// row-major. One pass, four rows at a time, the logits never written
-/// out; bit-identical to [`gemm::gemm_nt_into`](crate::gemm::gemm_nt_into),
+/// with `packed` the `labels.len()` rows `x_r` of `k` as [`pack_rows`]
+/// lays them out, and `w` `bias.len()` rows of `k`, row-major. One pass,
+/// eight rows at a time on AVX-512 (four elsewhere, from half-blocks),
+/// the logits never written out; bit-identical to
+/// [`gemm::gemm_nt_into`](crate::gemm::gemm_nt_into),
 /// [`gemm::add_bias_rows`](crate::gemm::add_bias_rows) and
-/// [`cross_entropy_rows`] on the same inputs.
+/// [`cross_entropy_rows`] on the unpacked rows.
 ///
 /// # Panics
 ///
 /// Unless `1 ≤ bias.len() ≤` [`LINEAR_MAX_CLASSES`],
-/// `w.len() == classes · k` and `x.len() == labels.len() · k` for one
-/// `k`; or if a label is not below `classes`.
+/// `w.len() == classes · k` and
+/// `packed.len() ==` [`packed_len`]`(labels.len(), k)` for one `k`; or
+/// if a label is not below `classes`.
 pub fn linear_cross_entropy(
-    x: &[f64],
+    packed: &[f64],
     w: &[f64],
     bias: &[f64],
     labels: &[usize],
     total: f64,
 ) -> f64 {
-    FusedLanes::detect().linear_cross_entropy(x, w, bias, labels, total)
+    FusedLanes::detect().linear_cross_entropy(packed, w, bias, labels, total)
 }
 
 /// [`softmax_into`] on every row of the row-major `logits` (rows of

@@ -198,18 +198,28 @@ impl Model for LogisticRegression {
         let feat = data.features().as_slice();
         let labels = data.labels();
         let tier = ws.tier();
-        // BitExact: the logits, bias and epilogue in one pass that never
-        // writes the logits out, with the three steps' bits.
+        // BitExact: the logits, bias and epilogue in one pass over the
+        // dataset's lane-packed rows that never writes the logits out,
+        // with the three steps' bits.
         let one_pass = tier == DeterminismTier::BitExact && c <= vector::LINEAR_MAX_CLASSES;
+        let packed = if one_pass {
+            data.packed_features()
+        } else {
+            &[]
+        };
         let (w, bias) = self.params.split_at(c * d);
         let (bufs, gemm_scratch) = ws.parts(1);
         let mut total = 0.0;
         for (start, end) in chunks(data.len()) {
             cancel.check()?;
-            let (x, labels) = (&feat[start * d..end * d], &labels[start..end]);
+            let labels = &labels[start..end];
             total = if one_pass {
+                // Each chunk starts a pack block (`CHUNK_ROWS` is a
+                // multiple of `PACK_ROWS`).
+                let x = &packed[start * d..vector::packed_len(end, d)];
                 vector::linear_cross_entropy(x, w, bias, labels, total)
             } else {
+                let x = &feat[start * d..end * d];
                 self.logits_chunk(x, end - start, &mut bufs[0], gemm_scratch, tier);
                 vector::cross_entropy_rows(bufs[0].as_slice(), c, labels, total)
             };
@@ -395,6 +405,57 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{classes} classes");
             }
         }
+    }
+
+    #[test]
+    fn bit_exact_loss_never_reads_a_stale_packed_copy() {
+        let loss = |m: &LogisticRegression, d: &Dataset| {
+            m.loss_with(
+                d,
+                &mut crate::workspace::Workspace::bit_exact(),
+                &CancelToken::new(),
+            )
+            .unwrap()
+        };
+        let fresh = |d: &Dataset| {
+            Dataset::new(d.features().clone(), d.labels().to_vec(), d.num_classes()).unwrap()
+        };
+        let n = crate::workspace::CHUNK_ROWS + 37;
+        let f = Matrix::from_fn(n, 5, |r, c| (((r + 2) * (c + 3)) % 13) as f64 / 6.0 - 1.0);
+        let labels: Vec<usize> = (0..n).map(|r| r % 4).collect();
+        let mut d = Dataset::new(f, labels, 4).unwrap();
+        let m = LogisticRegression::new(5, 4, 0.05, 17);
+        let before = loss(&m, &d);
+        assert_eq!(before.to_bits(), loss(&m, &fresh(&d)).to_bits());
+
+        // Edited in place: a row in the first chunk and one in the last
+        // partial block.
+        for r in [3, n - 1] {
+            d.features_mut()
+                .row_mut(r)
+                .iter_mut()
+                .for_each(|v| *v = -*v * 2.0);
+        }
+        let edited = loss(&m, &d);
+        assert_ne!(
+            edited.to_bits(),
+            before.to_bits(),
+            "the edit moves the loss"
+        );
+        assert_eq!(edited.to_bits(), loss(&m, &fresh(&d)).to_bits());
+
+        // A reused minibatch refilled with other rows of the same count.
+        let (first, second): (Vec<usize>, Vec<usize>) = ((0..40).collect(), (50..90).collect());
+        let mut out = d.subset(&first);
+        let on_first = loss(&m, &out);
+        d.subset_into(&second, &mut out);
+        let refilled = loss(&m, &out);
+        assert_ne!(
+            refilled.to_bits(),
+            on_first.to_bits(),
+            "other rows, other loss"
+        );
+        assert_eq!(refilled.to_bits(), loss(&m, &d.subset(&second)).to_bits());
     }
 
     #[test]

@@ -21,6 +21,10 @@ use fedval_linalg::{gemm, vector, DeterminismTier, Matrix};
 /// activations stay modest and cancellation latency is bounded.
 pub const CHUNK_ROWS: usize = 256;
 
+// A chunk starts a block of the lane-packed rows the one-pass logistic
+// loss reads.
+const _: () = assert!(CHUNK_ROWS.is_multiple_of(fedval_linalg::vector::PACK_ROWS));
+
 /// Reusable per-worker buffers for the batched model kernels.
 ///
 /// The workspace also carries the evaluation's [`DeterminismTier`]: the
